@@ -11,11 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use lbm_core::InteriorPath;
 
-const PATHS: [InteriorPath; 3] = [
-    InteriorPath::DirMajor,
-    InteriorPath::CellMajor,
-    InteriorPath::General,
-];
+const PATHS: [InteriorPath; 2] = [InteriorPath::DirMajor, InteriorPath::General];
 
 fn streaming_fastpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_fastpath");

@@ -324,22 +324,16 @@ fn fig9() {
     }
 }
 
-/// Interior fast-path comparison → `BENCH_streaming.json`.
+/// Streaming gather comparison → `BENCH_streaming.json`.
 ///
-/// Runs every [`InteriorPath`] on an interior-dominated uniform cavity
-/// (where the direction-major offset-table path's ≥1.5× measured-MLUPS
-/// target is defined) and on a refined cavity (where the interface
-/// machinery must stay neutral), then writes the machine-readable record
-/// the CI check consumes. Modeled MLUPS must agree across paths: the
-/// device model prices the kernel's declared traffic, which the path
-/// choice does not change.
+/// Runs both [`InteriorPath`]s on an interior-dominated uniform cavity and
+/// on a refined cavity, then writes the machine-readable record the CI
+/// check consumes. Modeled MLUPS must agree across paths: the device model
+/// prices the kernel's declared traffic, which the path choice does not
+/// change.
 fn bench_json() {
-    banner("Interior streaming fast path — BENCH_streaming.json");
-    let paths = [
-        InteriorPath::DirMajor,
-        InteriorPath::CellMajor,
-        InteriorPath::General,
-    ];
+    banner("Streaming gather paths — BENCH_streaming.json");
+    let paths = [InteriorPath::DirMajor, InteriorPath::General];
 
     // Headline: the streaming kernel in isolation (collision and interface
     // kernels are path-independent and would only dilute the ratio),
@@ -355,16 +349,8 @@ fn bench_json() {
         println!("{:<12} {:>12.2}", p.name(), m);
     }
     let kget = |p: InteriorPath| kernel.iter().find(|(q, _)| *q == p).unwrap().1;
-    let (kdm, kcm, kgen) = (
-        kget(InteriorPath::DirMajor),
-        kget(InteriorPath::CellMajor),
-        kget(InteriorPath::General),
-    );
-    println!(
-        "dir-major kernel speedup: {:.2}x vs cell-major, {:.2}x vs general",
-        kdm / kcm,
-        kdm / kgen
-    );
+    let (kdm, kgen) = (kget(InteriorPath::DirMajor), kget(InteriorPath::General));
+    println!("dir-major kernel speedup: {:.2}x vs general", kdm / kgen);
 
     let cases: [(&str, usize, u32, usize); 2] = [("uniform", 64, 1, 12), ("refined", 48, 2, 8)];
     let case_rounds = 3;
@@ -400,12 +386,9 @@ fn bench_json() {
         }
         let get = |p: InteriorPath| &results.iter().find(|(q, _)| *q == p).unwrap().1;
         let dm = get(InteriorPath::DirMajor);
-        let cm = get(InteriorPath::CellMajor);
         let gen = get(InteriorPath::General);
         println!(
-            "dir-major speedup: {:.2}x vs cell-major, {:.2}x vs general \
-             (modeled ratio vs general: {:.3})",
-            dm.measured_mlups / cm.measured_mlups,
+            "dir-major speedup: {:.2}x vs general (modeled ratio vs general: {:.3})",
             dm.measured_mlups / gen.measured_mlups,
             dm.modeled_mlups / gen.modeled_mlups,
         );
@@ -425,11 +408,9 @@ fn bench_json() {
         case_objs.push(format!(
             "    {{\n      \"case\": \"{label}\", \"n\": {n}, \"levels\": {levels}, \
              \"steps\": {steps},\n      \"paths\": [\n{}\n      ],\n      \
-             \"speedup_measured_dir_major_vs_cell_major\": {:.4},\n      \
              \"speedup_measured_dir_major_vs_general\": {:.4},\n      \
              \"modeled_ratio_dir_major_vs_general\": {:.4}\n    }}",
             path_objs.join(",\n"),
-            dm.measured_mlups / cm.measured_mlups,
             dm.measured_mlups / gen.measured_mlups,
             dm.modeled_mlups / gen.modeled_mlups,
         ));
@@ -443,11 +424,9 @@ fn bench_json() {
          \"stream_kernel\": {{\n    \"case\": \"uniform box n={kernel_n} B=8, stream kernel only, \
          best of {kernel_rounds} interleaved rounds\",\n    \
          \"iters\": {kernel_iters},\n    \"paths\": [\n{}\n    ],\n    \
-         \"speedup_dir_major_vs_cell_major\": {:.4},\n    \
          \"speedup_dir_major_vs_general\": {:.4}\n  }},\n  \
          \"cases\": [\n{}\n  ]\n}}\n",
         kernel_objs.join(",\n"),
-        kdm / kcm,
         kdm / kgen,
         case_objs.join(",\n")
     );

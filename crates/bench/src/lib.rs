@@ -141,10 +141,9 @@ pub fn cavity_case(
 }
 
 /// Runs the interior-path streaming comparison workload: a full-3D cavity
-/// with 8³ blocks, where the bulk of the blocks are `FULLY_INTERIOR` and
-/// eligible for the direction-major offset-table fast path. `levels = 1`
-/// gives the interior-dominated case the speedup target is defined on;
-/// `levels > 1` adds the refinement interface for the neutrality check.
+/// with 8³ blocks under the given [`InteriorPath`]. `levels = 1` is the
+/// interior-dominated case; `levels > 1` adds the refinement interface,
+/// whose frontier blocks take the same tile gather as interior ones.
 pub fn streaming_case(
     n: usize,
     levels: u32,
@@ -174,14 +173,13 @@ pub fn streaming_case(
 }
 
 /// Measured MLUPS of the **streaming kernel in isolation** for every
-/// [`InteriorPath`], on a walled uniform box with 8³ blocks. At `n = 96`
-/// the box is 12³ blocks of which the inner 10³ (≈58 %) are
-/// `FULLY_INTERIOR`; the remaining shell keeps the general `resolve_link`
-/// path, so the ratio is the honest whole-kernel speedup (interior fast
-/// path diluted by the boundary shell per Amdahl), undiluted only by the
-/// path-independent collision/interface kernels.
+/// [`InteriorPath`], on a walled uniform box with 8³ blocks. The wall
+/// shell's blocks carry bounce-back links and missing neighbor slots; both
+/// paths handle them (the default one with its link patch), so the ratio
+/// is the whole-kernel speedup, undiluted only by the path-independent
+/// collision/interface kernels.
 ///
-/// The three paths are measured **interleaved**, `rounds` timed rounds
+/// The paths are measured **interleaved**, `rounds` timed rounds
 /// each after one untimed warmup round, and the best round per path is
 /// kept — this machine's wall-clock drifts ±40 % between runs, and
 /// best-of-interleaved-rounds is the only comparison that survives it.
@@ -191,11 +189,7 @@ pub fn stream_kernel_compare(n: usize, rounds: usize, iters: usize) -> Vec<(Inte
     use lbm_core::kernels::{self, StreamInputs, StreamOptions};
     use lbm_core::{AllWalls, GridSpec, MultiGrid};
     use lbm_sparse::Box3;
-    let paths = [
-        InteriorPath::DirMajor,
-        InteriorPath::CellMajor,
-        InteriorPath::General,
-    ];
+    let paths = [InteriorPath::DirMajor, InteriorPath::General];
     let spec = GridSpec::uniform(Box3::from_dims(n, n, n)).with_block_size(8);
     let mut grid = MultiGrid::<f64, lbm_lattice::D3Q19>::build(spec, &AllWalls, 1.6);
     grid.init_equilibrium(|_, _| 1.0, |_, _| [0.02, 0.01, 0.0]);
@@ -207,7 +201,7 @@ pub fn stream_kernel_compare(n: usize, rounds: usize, iters: usize) -> Vec<(Inte
         explosion: false,
         coalesce: false,
     };
-    let mut best = [0.0f64; 3];
+    let mut best = [0.0f64; 2];
     for round in 0..rounds + 1 {
         for (pi, &path) in paths.iter().enumerate() {
             let inp = StreamInputs {

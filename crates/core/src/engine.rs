@@ -872,7 +872,6 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
                 names::C[l],
                 lv.grid,
                 lv.flags,
-                lv.block_flags,
                 &coll[l],
                 &mut dst,
                 lv.real,

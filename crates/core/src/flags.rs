@@ -55,29 +55,21 @@ impl CellFlags {
     }
 }
 
-/// Block-level summary used to pick kernel fast paths.
+/// Block-level summary (the streaming kernels skip blocks without real
+/// cells).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockFlags(pub u8);
 
 impl BlockFlags {
-    /// Every cell slot in the block is an interior real cell (full bitmask,
-    /// no exceptions, no accumulation) *and* all 26 neighbor blocks exist —
-    /// the branch-free streaming fast path applies.
-    pub const FULLY_INTERIOR: u8 = 1 << 0;
     /// Block contains at least one real cell.
     pub const HAS_REAL: u8 = 1 << 1;
     /// Block contains at least one ghost cell.
     pub const HAS_GHOST: u8 = 1 << 2;
     /// Block contains at least one accumulating cell.
     pub const HAS_ACCUMULATORS: u8 = 1 << 3;
-    /// Every neighbor slot read by the level's streaming offset tables
-    /// ([`lbm_sparse::StreamOffsets::needed_slots`]) maps to an existing
-    /// block — the precondition of the direction-major gather, which
-    /// indexes the neighbor table unconditionally. Set together with
-    /// [`BlockFlags::FULLY_INTERIOR`] by the builder (an interior block
-    /// with a missing neighbor would be a construction bug); kept separate
-    /// so the invariant is explicit and testable.
-    pub const STENCIL_COMPLETE: u8 = 1 << 4;
+    /// Every cell slot of the block is an active real cell (no ghost or
+    /// inactive slot the streaming kernels must leave untouched).
+    pub const ALL_REAL: u8 = 1 << 4;
 
     /// True if `bit` is set.
     #[inline(always)]
@@ -118,8 +110,8 @@ mod tests {
 
     #[test]
     fn block_flag_queries() {
-        let f = BlockFlags(BlockFlags::FULLY_INTERIOR | BlockFlags::HAS_REAL);
-        assert!(f.has(BlockFlags::FULLY_INTERIOR));
+        let f = BlockFlags(BlockFlags::HAS_ACCUMULATORS | BlockFlags::HAS_REAL);
+        assert!(f.has(BlockFlags::HAS_ACCUMULATORS));
         assert!(f.has(BlockFlags::HAS_REAL));
         assert!(!f.has(BlockFlags::HAS_GHOST));
     }

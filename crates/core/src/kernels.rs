@@ -11,9 +11,12 @@
 //! Kernel launches go through the virtual GPU [`Executor`]; each declares
 //! its honest per-cell traffic so the device model can price it.
 
+use std::any::Any;
+use std::cell::RefCell;
+
 use lbm_gpu::{coalescing_efficiency, AtomicF64Field, Executor, LaunchCost};
 use lbm_lattice::{Collision, Real, VelocitySet, MAX_Q};
-use lbm_sparse::{Field, LayoutRuns, Slots, SparseGrid, CENTER_SLOT};
+use lbm_sparse::{Field, LayoutRuns, Slots, SparseGrid};
 
 use crate::flags::{BlockFlags, CellFlags};
 use crate::level::Level;
@@ -35,31 +38,25 @@ fn layout_coalescing<T: Copy>(f: &Field<T>) -> f64 {
     )
 }
 
-/// Which implementation eligible (fully-interior, stencil-complete) blocks
-/// use in the streaming-family kernels. Frontier/interface blocks always
-/// take the general per-cell path regardless of this setting.
+/// How the streaming-family kernels ([`stream`], [`fused_stream_collide`])
+/// gather a block's post-streaming populations.
 ///
-/// All three paths are bit-identical by construction (they read the same
-/// source addresses); the equivalence proptest in
-/// `crates/core/tests/fastpath_equivalence.rs` pins that down. The
-/// non-default paths exist for honest benchmarking ([`CellMajor`] is the
-/// pre-offset-table fast path) and for equivalence testing ([`General`]
-/// forces the link-resolving path everywhere).
-///
-/// [`CellMajor`]: InteriorPath::CellMajor
-/// [`General`]: InteriorPath::General
+/// Both paths read exactly the same source addresses, so they are
+/// bit-identical by construction; `crates/core/tests/fastpath_equivalence.rs`
+/// pins that down on frontier blocks (links, missing neighbor slots, ghost
+/// and inactive cells) under every layout.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum InteriorPath {
-    /// Direction-major traversal over precomputed
-    /// [`StreamOffsets`](lbm_sparse::StreamOffsets) regions, lowered to the
-    /// level's layout: branch-free contiguous-run copies (the optimized
-    /// path).
+    /// Every block, interior or frontier, replays the level's lowered
+    /// [`LayoutRuns`] into a block-local tile (skipping runs whose source
+    /// block is missing), overwrites the tile entries of the block's links
+    /// with their resolved values, then collides and stores each real cell
+    /// from the tile (DESIGN.md §4). The optimized path.
     #[default]
     DirMajor,
-    /// Cell-major per-cell pull with inline neighbor resolution (the
-    /// legacy fast path, kept for measured before/after comparisons).
-    CellMajor,
-    /// No fast path: every block runs the general link-resolving loop.
+    /// Per-cell pull with inline neighbor-block resolution and a link
+    /// lookup per cell, on every block: the reference the equivalence
+    /// tests run the default path against.
     General,
 }
 
@@ -68,7 +65,6 @@ impl InteriorPath {
     pub fn name(self) -> &'static str {
         match self {
             InteriorPath::DirMajor => "dir_major",
-            InteriorPath::CellMajor => "cell_major",
             InteriorPath::General => "general",
         }
     }
@@ -82,7 +78,7 @@ pub struct StreamInputs<'a, T> {
     /// Per-cell flags.
     pub flags: &'a Field<u8>,
     /// Per-block summaries.
-    pub block_flags: &'a [crate::flags::BlockFlags],
+    pub block_flags: &'a [BlockFlags],
     /// Per-block link tables.
     pub links: &'a [BlockLinks<T>],
     /// Own-level post-collision populations (gather source).
@@ -104,7 +100,7 @@ pub struct StreamInputs<'a, T> {
     /// this level's block size *and* the fields' memory layout (shared per
     /// `(block_size, velocity set, layout)` triple).
     pub runs: &'a LayoutRuns,
-    /// Fast-path selection for eligible interior blocks.
+    /// Gather path of the streaming-family kernels.
     pub interior_path: InteriorPath,
 }
 
@@ -231,11 +227,26 @@ pub struct StreamOptions {
     pub coalesce: bool,
 }
 
-/// Per-block gather context: resolves same-level pull sources with pure
-/// integer adds and compares (no divisions, no `Coord` arithmetic),
-/// reading through the raw per-block slice with the field's [`Slots`]
-/// resolver hoisted once. This is the hot path of every streaming-family
-/// kernel.
+impl StreamOptions {
+    /// True if the streaming kernel resolves `kind` itself; boundaries
+    /// always do.
+    #[inline(always)]
+    fn handles<T>(self, kind: &LinkKind<T>) -> bool {
+        match kind {
+            LinkKind::Explosion { .. } => self.explosion,
+            LinkKind::Coalesce { .. } => self.coalesce,
+            _ => true,
+        }
+    }
+}
+
+/// Longest copy run moved with an element loop instead of a `memcpy`
+/// call. B = 4 lowers to runs of 1–4 elements (one-cell spill columns,
+/// 4-cell rows, AoS scalars), where the call overhead dominates.
+const SHORT_RUN: usize = 8;
+
+/// Per-block gather context: the raw source slice with the field's
+/// [`Slots`] resolver and the block's neighbor table hoisted once.
 struct BlockGather<'a, T> {
     src_all: &'a [T],
     block_base: usize,
@@ -263,6 +274,7 @@ impl<'a, T: Real> BlockGather<'a, T> {
     /// reads `src[x − e_i][i]`, following the precomputed neighbor-block
     /// table when the source leaves the block. The grid construction
     /// guarantees the source block exists for every non-linked direction.
+    /// Only the [`InteriorPath::General`] reference calls this.
     #[inline(always)]
     fn pull(&self, lx: i32, ly: i32, lz: i32, i: usize, c: [i32; 3]) -> T {
         let b = self.bsz;
@@ -302,51 +314,42 @@ impl<'a, T: Real> BlockGather<'a, T> {
         self.src_all[base + self.slots.of(i, scell)]
     }
 
-    /// Direction-major interior gather: for every direction, executes the
-    /// precomputed element-space [`MemRun`](lbm_sparse::MemRun) plans of the
-    /// level's layout into `out`. Reads exactly the addresses the per-cell
-    /// [`BlockGather::pull`] would read (the tables are the closed form of
-    /// its branch chains, lowered through the same [`Slots`] bijection), so
-    /// the result is bit-identical for *every* layout — but the inner loop
-    /// is a straight `copy_from_slice` with no per-cell branching. Under
-    /// BlockSoA the rest direction is a single `B³` memcpy; tiled layouts
-    /// copy tile-bounded segments; AoS degenerates to strided scalar moves.
-    /// Callers must only use this on blocks whose needed neighbor slots all
-    /// exist ([`BlockFlags::STENCIL_COMPLETE`]).
+    /// Direction-major tile gather: for every direction, executes the
+    /// precomputed element-space [`MemRun`](lbm_sparse::MemRun) plans of
+    /// the level's layout into `tile` (one block chunk, same layout).
+    /// Reads exactly the addresses [`BlockGather::pull`] would read — the
+    /// plans are the closed form of its branch chains, lowered through the
+    /// same [`Slots`] bijection — with no per-cell branching.
+    ///
+    /// Runs whose source block is missing are skipped. The plans are an
+    /// ordered overwrite sequence, so a skipped fix-up leaves the bulk
+    /// shift's stale value in its entries; by grid construction every real
+    /// `(cell, dir)` whose source block is missing is a link, so
+    /// [`patch_links`] overwrites all of them, and entries of ghost and
+    /// inactive cells are never read.
     #[inline(always)]
-    fn gather_dir_major(&self, runs: &LayoutRuns, q: usize, out: &mut [T]) {
+    #[allow(clippy::manual_memcpy)] // short runs: see SHORT_RUN
+    fn gather_tile(&self, runs: &LayoutRuns, q: usize, tile: &mut [T]) {
         debug_assert_eq!(runs.layout(), self.slots.layout(), "plan/field layout mismatch");
         for i in 0..q {
             for e in runs.dir(i) {
-                let src_block = if e.slot == CENTER_SLOT {
-                    self.block_base
-                } else {
-                    let nb = self.neighbors[e.slot as usize];
-                    debug_assert_ne!(
-                        nb,
-                        lbm_sparse::INVALID_BLOCK,
-                        "dir-major gather into missing block"
-                    );
-                    nb as usize * self.stride
-                };
-                let (mut dst, mut src) =
-                    (e.dst_off as usize, src_block + e.src_off as usize);
+                let nb = self.neighbors[e.slot as usize];
+                if nb == lbm_sparse::INVALID_BLOCK {
+                    continue;
+                }
+                let src = &self.src_all[nb as usize * self.stride..][..self.stride];
+                let (mut d, mut s) = (e.dst_off as usize, e.src_off as usize);
                 let (len, stride) = (e.len as usize, e.stride as usize);
-                if len == 1 {
-                    // One-cell spill columns (e.g. the x-face of the block)
-                    // and AoS-lowered runs: a strided scalar loop beats
-                    // per-element memcpy calls.
-                    for _ in 0..e.count {
-                        out[dst] = self.src_all[src];
-                        dst += stride;
-                        src += stride;
+                for _ in 0..e.count {
+                    if len <= SHORT_RUN {
+                        for k in 0..len {
+                            tile[d + k] = src[s + k];
+                        }
+                    } else {
+                        tile[d..d + len].copy_from_slice(&src[s..s + len]);
                     }
-                } else {
-                    for _ in 0..e.count {
-                        out[dst..dst + len].copy_from_slice(&self.src_all[src..src + len]);
-                        dst += stride;
-                        src += stride;
-                    }
+                    d += stride;
+                    s += stride;
                 }
             }
         }
@@ -398,6 +401,184 @@ fn resolve_link<T: Real>(
     }
 }
 
+/// Overwrites the tile entry of every link of block `b` with its resolved
+/// value. A link family `opts` excludes keeps its current `out` value (the
+/// separate Explosion / Coalescence kernel fills it).
+#[inline(always)]
+fn patch_links<T: Real>(
+    inp: &StreamInputs<'_, T>,
+    b: u32,
+    opts: StreamOptions,
+    out: &[T],
+    tile: &mut [T],
+) {
+    let sl = inp.src.slots();
+    for set in &inp.links[b as usize].cells {
+        for l in &set.links {
+            let (i, cell) = (l.dir as usize, set.cell);
+            let s = sl.of(i, cell as usize);
+            tile[s] = if opts.handles(&l.kind) {
+                resolve_link(&l.kind, inp, b, cell, i)
+            } else {
+                out[s]
+            };
+        }
+    }
+}
+
+/// Runs `f` on this thread's reusable gather tile of `len` values. The
+/// tile lives per thread and only grows: a pool worker allocates it once
+/// and reuses it across blocks, launches and levels (graph mode's per-wave
+/// stream threads allocate one each). Its contents carry over from the
+/// previous block and are never read before being written (see
+/// [`BlockGather::gather_tile`]).
+fn with_tile<T: Real, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+    thread_local! {
+        static TILES: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+    }
+    TILES.with_borrow_mut(|tiles| {
+        let idx = match tiles.iter().position(|t| t.is::<Vec<T>>()) {
+            Some(idx) => idx,
+            None => {
+                tiles.push(Box::new(Vec::<T>::new()));
+                tiles.len() - 1
+            }
+        };
+        let tile = tiles[idx]
+            .downcast_mut::<Vec<T>>()
+            .expect("tile type checked above");
+        if tile.len() < len {
+            tile.resize(len, T::ZERO);
+        }
+        f(&mut tile[..len])
+    })
+}
+
+/// One block of a streaming-family kernel. Gathers the block's
+/// post-streaming populations along `inp.interior_path`, then for each
+/// real cell in ascending order: runs the Accumulate scatter if the cell
+/// has one, applies `collision` (the fused kernel's; `None` for plain
+/// streaming) and stores the populations into `out`. The `out` slots of
+/// ghost and inactive cells are never written, and a link family `opts`
+/// excludes keeps its current `out` value.
+#[inline(always)]
+fn stream_block<T: Real, V: VelocitySet>(
+    inp: &StreamInputs<'_, T>,
+    b: u32,
+    out: &mut [T],
+    opts: StreamOptions,
+    accumulate: Option<AccTables<'_>>,
+    collision: Option<impl Fn(&mut [T; MAX_Q])>,
+) {
+    let bf = inp.block_flags[b as usize];
+    if !bf.has(BlockFlags::HAS_REAL) {
+        return; // ghost-only block: nothing streams
+    }
+    let finish = |f: &mut [T; MAX_Q]| {
+        if let Some(c) = &collision {
+            c(f)
+        }
+    };
+    let g = BlockGather::new(inp.grid, inp.src, b);
+    match inp.interior_path {
+        InteriorPath::DirMajor => with_tile(out.len(), |tile: &mut [T]| {
+            g.gather_tile(inp.runs, V::Q, tile);
+            patch_links(inp, b, opts, out, tile);
+            if collision.is_none() && bf.has(BlockFlags::ALL_REAL) {
+                // Every slot is a real cell: store the tile in one copy.
+                scatter_cells(inp, b, accumulate);
+                out.copy_from_slice(tile);
+                return;
+            }
+            let (sl, step) = (g.slots, g.slots.comp_stride());
+            for_each_real_cell::<T, V>(inp, b, out, accumulate, finish, |cell, _, f| {
+                let base = sl.cell_base(cell);
+                for (i, v) in f[..V::Q].iter_mut().enumerate() {
+                    *v = tile[base + i * step];
+                }
+            });
+        }),
+        InteriorPath::General => {
+            let cdir = dir_table::<V>();
+            let links = &inp.links[b as usize];
+            let bsz = g.bsz as usize;
+            for_each_real_cell::<T, V>(inp, b, out, accumulate, finish, |cell, out, f| {
+                let (lx, ly, lz) = (
+                    (cell % bsz) as i32,
+                    (cell / bsz % bsz) as i32,
+                    (cell / (bsz * bsz)) as i32,
+                );
+                f[0] = g.src_all[g.block_base + g.slots.of(0, cell)]; // rest
+                let set = links.of(cell as u32).map_or(&[][..], |s| &s.links[..]);
+                let mut li = 0usize;
+                for i in 1..V::Q {
+                    f[i] = if li < set.len() && set[li].dir as usize == i {
+                        let kind = &set[li].kind;
+                        li += 1;
+                        if opts.handles(kind) {
+                            resolve_link(kind, inp, b, cell as u32, i)
+                        } else {
+                            out[g.slots.of(i, cell)]
+                        }
+                    } else {
+                        g.pull(lx, ly, lz, i, cdir[i])
+                    };
+                }
+            });
+        }
+    }
+}
+
+/// The Accumulate scatter of every accumulating cell of block `b`, in
+/// ascending cell order.
+#[inline(always)]
+fn scatter_cells<T: Real>(inp: &StreamInputs<'_, T>, b: u32, accumulate: Option<AccTables<'_>>) {
+    if let Some(t) = accumulate.filter(|t| t.targets[b as usize].is_some()) {
+        let flags = inp.flags.component(b, 0);
+        for (cell, &cf) in flags.iter().enumerate() {
+            if CellFlags(cf).accumulates() {
+                t.scatter_from(inp.src, b, cell as u32);
+            }
+        }
+    }
+}
+
+/// The per-real-cell loop of [`stream_block`]: scatter, `gather` the
+/// cell's populations (it may read the current `out`), `finish`, store.
+#[inline(always)]
+fn for_each_real_cell<T: Real, V: VelocitySet>(
+    inp: &StreamInputs<'_, T>,
+    b: u32,
+    out: &mut [T],
+    accumulate: Option<AccTables<'_>>,
+    finish: impl Fn(&mut [T; MAX_Q]),
+    gather: impl Fn(usize, &[T], &mut [T; MAX_Q]),
+) {
+    let blk = inp.grid.block(b);
+    let flags = inp.flags.component(b, 0);
+    let tables = accumulate.filter(|t| t.targets[b as usize].is_some());
+    let sl = inp.src.slots();
+    let step = sl.comp_stride();
+    for (cell, &cf) in flags.iter().enumerate() {
+        let cf = CellFlags(cf);
+        if !cf.is_real() || !blk.active.get(cell) {
+            continue;
+        }
+        if let Some(t) = &tables {
+            if cf.accumulates() {
+                t.scatter_from(inp.src, b, cell as u32);
+            }
+        }
+        let mut f = [T::ZERO; MAX_Q];
+        gather(cell, out, &mut f);
+        finish(&mut f);
+        let base = sl.cell_base(cell);
+        for (i, &v) in f[..V::Q].iter().enumerate() {
+            out[base + i * step] = v;
+        }
+    }
+}
+
 /// Streaming kernel (paper "S"): `dst[x][i] = src[x − e_i][i]` with link
 /// resolution per [`StreamOptions`]. Ghost cells are skipped. Directions
 /// whose links are excluded by the options are left untouched in `dst` (the
@@ -415,7 +596,6 @@ pub fn stream<T: Real, V: VelocitySet>(
     let q = V::Q;
     let cpb = inp.grid.cells_per_block();
     let stride = dst.block_stride();
-    let sl = dst.slots();
     // Traffic: q loads (neighbors) + q stores per real cell, discounted by
     // the layout's coalescing efficiency.
     let cost = LaunchCost::cells(real_cells)
@@ -425,97 +605,9 @@ pub fn stream<T: Real, V: VelocitySet>(
         .thread_block(cpb)
         .coalescing(layout_coalescing(dst))
         .build();
-    let grid = inp.grid;
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        let g = BlockGather::new(grid, inp.src, b);
-        let bsz = grid.block_size() as i32;
-        let cdir = dir_table::<V>();
-        if interior_fast_path(inp.block_flags[b as usize], inp.interior_path) {
-            match inp.interior_path {
-                InteriorPath::DirMajor => g.gather_dir_major(inp.runs, q, out),
-                _ => {
-                    // Legacy cell-major fast path: per-cell pull with
-                    // inline neighbor resolution.
-                    let mut cell = 0usize;
-                    for lz in 0..bsz {
-                        for ly in 0..bsz {
-                            for lx in 0..bsz {
-                                out[sl.of(0, cell)] = g.src_all[g.block_base + g.slots.of(0, cell)]; // rest
-                                for i in 1..q {
-                                    out[sl.of(i, cell)] = g.pull(lx, ly, lz, i, cdir[i]);
-                                }
-                                cell += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let blk = grid.block(b);
-        let links = &inp.links[b as usize];
-        let flags = inp.flags.component(b, 0);
-        let tables = accumulate.filter(|t| t.targets[b as usize].is_some());
-        let mut cell = 0usize;
-        for lz in 0..bsz {
-            for ly in 0..bsz {
-                for lx in 0..bsz {
-                    let cf = CellFlags(flags[cell]);
-                    if !blk.active.get(cell) || !cf.is_real() {
-                        cell += 1;
-                        continue;
-                    }
-                    if let Some(t) = &tables {
-                        if cf.accumulates() {
-                            t.scatter_from(inp.src, b, cell as u32);
-                        }
-                    }
-                    out[sl.of(0, cell)] = g.src_all[g.block_base + g.slots.of(0, cell)]; // rest
-                    match links.of(cell as u32) {
-                        None => {
-                            for i in 1..q {
-                                out[sl.of(i, cell)] = g.pull(lx, ly, lz, i, cdir[i]);
-                            }
-                        }
-                        Some(set) => {
-                            let mut li = 0usize;
-                            for i in 1..q {
-                                let linked =
-                                    li < set.links.len() && set.links[li].dir as usize == i;
-                                if linked {
-                                    let kind = &set.links[li].kind;
-                                    li += 1;
-                                    let handled = match kind {
-                                        LinkKind::Explosion { .. } => opts.explosion,
-                                        LinkKind::Coalesce { .. } => opts.coalesce,
-                                        _ => true, // boundaries always resolve in S
-                                    };
-                                    if handled {
-                                        out[sl.of(i, cell)] =
-                                            resolve_link(kind, &inp, b, cell as u32, i);
-                                    }
-                                } else {
-                                    out[sl.of(i, cell)] = g.pull(lx, ly, lz, i, cdir[i]);
-                                }
-                            }
-                        }
-                    }
-                    cell += 1;
-                }
-            }
-        }
+        stream_block::<T, V>(&inp, b, out, opts, accumulate, None::<fn(&mut [T; MAX_Q])>);
     });
-}
-
-/// True when `block` may skip the general link-resolving loop under the
-/// selected path: it must be fully interior *and* have every neighbor slot
-/// the offset tables read (the two flags are set together by the builder;
-/// requiring both keeps the invariant explicit at the use site).
-#[inline(always)]
-fn interior_fast_path(bf: BlockFlags, path: InteriorPath) -> bool {
-    path != InteriorPath::General
-        && bf.has(BlockFlags::FULLY_INTERIOR)
-        && bf.has(BlockFlags::STENCIL_COMPLETE)
 }
 
 /// Separate Explosion kernel (paper "E", baseline variants): fills the
@@ -604,7 +696,6 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     name: &'static str,
     grid: &SparseGrid,
     flags: &Field<u8>,
-    block_flags: &[crate::flags::BlockFlags],
     op: &C,
     dst: &mut Field<T>,
     real_cells: u64,
@@ -621,7 +712,6 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         .coalescing(layout_coalescing(dst))
         .build();
     let sl = dst.slots();
-    let _ = block_flags;
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
         let blk = grid.block(b);
         for cell in blk.active.iter_set() {
@@ -776,7 +866,6 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     let q = V::Q;
     let cpb = inp.grid.cells_per_block();
     let stride = dst.block_stride();
-    let sl = dst.slots();
     let cost = LaunchCost::cells(real_cells)
         .loads(q as u64)
         .stores(q as u64)
@@ -784,91 +873,14 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         .thread_block(cpb)
         .coalescing(layout_coalescing(dst))
         .build();
-    let grid = inp.grid;
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        let blk = grid.block(b);
-        let g = BlockGather::new(grid, inp.src, b);
-        let bsz = grid.block_size() as i32;
-        let cdir = dir_table::<V>();
-        if interior_fast_path(inp.block_flags[b as usize], inp.interior_path) {
-            // Fully-interior blocks hold only real cells with no links and
-            // no accumulating cells (their `acc_target` entry is `None`),
-            // so the fused kernel reduces to gather + in-place collide.
-            match inp.interior_path {
-                InteriorPath::DirMajor => g.gather_dir_major(inp.runs, q, out),
-                _ => {
-                    let mut cell = 0usize;
-                    for lz in 0..bsz {
-                        for ly in 0..bsz {
-                            for lx in 0..bsz {
-                                out[sl.of(0, cell)] = g.src_all[g.block_base + g.slots.of(0, cell)]; // rest
-                                for i in 1..q {
-                                    out[sl.of(i, cell)] = g.pull(lx, ly, lz, i, cdir[i]);
-                                }
-                                cell += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            for cell in 0..cpb {
-                let mut f = [T::ZERO; MAX_Q];
-                for i in 0..q {
-                    f[i] = out[sl.of(i, cell)];
-                }
-                op.collide(&mut f);
-                for i in 0..q {
-                    out[sl.of(i, cell)] = f[i];
-                }
-            }
-            return;
-        }
-        let links = &inp.links[b as usize];
-        let flags = inp.flags.component(b, 0);
-        let tables = accumulate.filter(|t| t.targets[b as usize].is_some());
-        let mut cell = 0usize;
-        for lz in 0..bsz {
-            for ly in 0..bsz {
-                for lx in 0..bsz {
-                    let cf = CellFlags(flags[cell]);
-                    if !blk.active.get(cell) || !cf.is_real() {
-                        cell += 1;
-                        continue;
-                    }
-                    if let Some(t) = &tables {
-                        if cf.accumulates() {
-                            t.scatter_from(inp.src, b, cell as u32);
-                        }
-                    }
-                    let mut f = [T::ZERO; MAX_Q];
-                    f[0] = g.src_all[g.block_base + g.slots.of(0, cell)];
-                    match links.of(cell as u32) {
-                        None => {
-                            for i in 1..q {
-                                f[i] = g.pull(lx, ly, lz, i, cdir[i]);
-                            }
-                        }
-                        Some(set) => {
-                            let mut li = 0usize;
-                            for i in 1..q {
-                                if li < set.links.len() && set.links[li].dir as usize == i {
-                                    let kind = &set.links[li].kind;
-                                    li += 1;
-                                    f[i] = resolve_link(kind, &inp, b, cell as u32, i);
-                                } else {
-                                    f[i] = g.pull(lx, ly, lz, i, cdir[i]);
-                                }
-                            }
-                        }
-                    }
-                    op.collide(&mut f);
-                    for i in 0..q {
-                        out[sl.of(i, cell)] = f[i];
-                    }
-                    cell += 1;
-                }
-            }
-        }
+        // Every link family resolves inline (Fig. 4f).
+        let opts = StreamOptions {
+            explosion: true,
+            coalesce: true,
+        };
+        let collision = |f: &mut [T; MAX_Q]| op.collide(f);
+        stream_block::<T, V>(&inp, b, out, opts, accumulate, Some(collision));
     });
 }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use lbm_gpu::AtomicF64Field;
 use lbm_lattice::Real;
 use lbm_sparse::{
-    BlockIdx, CellRef, Coord, DoubleBuffer, Field, LayoutRuns, OwnerMap, SparseGrid, StreamOffsets,
+    CellRef, Coord, DoubleBuffer, Field, LayoutRuns, OwnerMap, SparseGrid, StreamOffsets,
 };
 
 use crate::flags::{BlockFlags, CellFlags};
@@ -187,11 +187,5 @@ impl<T: Real> Level<T> {
             .iter_active()
             .filter(|(r, _)| self.cell_flags(*r).accumulates())
             .count()
-    }
-
-    /// True if `block` may take the branch-free interior fast path.
-    #[inline(always)]
-    pub fn block_fully_interior(&self, block: BlockIdx) -> bool {
-        self.block_flags[block as usize].has(BlockFlags::FULLY_INTERIOR)
     }
 }

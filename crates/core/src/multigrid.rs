@@ -286,8 +286,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             }
 
             // Block summaries. The streaming offset tables are shared
-            // process-wide per (block size, velocity set) pair; here they
-            // also supply the slot set for stencil-completeness tagging.
+            // process-wide per (block size, velocity set) pair.
             let offsets = StreamOffsets::cached(grid.block_size() as u32, V::C);
             let runs =
                 StreamOffsets::lowered_cached(grid.block_size() as u32, V::C, Layout::default());
@@ -296,7 +295,6 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             let mut ghost_cells = 0usize;
             for (bi, blk) in grid.blocks().iter().enumerate() {
                 let mut bf = 0u8;
-                let mut interior = blk.active.all();
                 for cell in blk.active.iter_set() {
                     let cf = CellFlags(fl.get(bi as u32, 0, cell as u32));
                     if cf.is_real() {
@@ -306,27 +304,14 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                     if cf.is_ghost() {
                         bf |= BlockFlags::HAS_GHOST;
                         ghost_cells += 1;
-                        interior = false;
                     }
                     if cf.accumulates() {
                         bf |= BlockFlags::HAS_ACCUMULATORS;
                     }
-                    if cf.is_exceptional() || cf.accumulates() {
-                        interior = false;
-                    }
                 }
-                if offsets.stencil_complete(&blk.neighbors) {
-                    bf |= BlockFlags::STENCIL_COMPLETE;
-                }
-                if interior {
-                    bf |= BlockFlags::FULLY_INTERIOR;
-                    // An interior block pulls from all 26 neighbors with no
-                    // links to redirect a missing one — the grid
-                    // construction must have allocated them.
-                    assert!(
-                        bf & BlockFlags::STENCIL_COMPLETE != 0,
-                        "fully-interior block {bi} at level {l} has a missing stencil neighbor"
-                    );
+                // Active cells are real or ghost, never both.
+                if blk.active.all() && bf & BlockFlags::HAS_GHOST == 0 {
+                    bf |= BlockFlags::ALL_REAL;
                 }
                 block_flags.push(BlockFlags(bf));
             }
@@ -836,12 +821,6 @@ mod tests {
         assert_eq!(l0.real_cells, 16 * 16 * 16);
         assert_eq!(l0.ghost_cells, 0);
         assert_eq!(l0.accumulator_cells(), 0);
-        // Interior blocks take the fast path.
-        let interior = (0..l0.grid.num_blocks())
-            .filter(|&b| l0.block_fully_interior(b as u32))
-            .count();
-        // 4³ blocks of 4³ cells: the inner 2×2×2 blocks are fully interior.
-        assert_eq!(interior, 8);
     }
 
     #[test]

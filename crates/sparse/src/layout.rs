@@ -122,6 +122,26 @@ impl Slots {
         }
     }
 
+    /// Element offset of `(0, cell)`: together with
+    /// [`Slots::comp_stride`], `of(comp, cell) == cell_base(cell) + comp ·
+    /// comp_stride()` under every layout, so a loop over one cell's
+    /// components resolves the layout once per cell instead of per value.
+    #[inline(always)]
+    pub fn cell_base(&self, cell: usize) -> usize {
+        self.of(0, cell)
+    }
+
+    /// Element distance between consecutive components of one cell: `B³`
+    /// for SoA, 1 for AoS, the tile width for tiled.
+    #[inline(always)]
+    pub fn comp_stride(&self) -> usize {
+        match self.layout {
+            Layout::BlockSoA => self.cpb,
+            Layout::CellAoS => 1,
+            Layout::Tiled { width } => width as usize,
+        }
+    }
+
     /// The layout the resolver was built for.
     #[inline(always)]
     pub fn layout(&self) -> Layout {
@@ -154,6 +174,23 @@ mod tests {
                     }
                 }
                 assert!(seen.iter().all(|&b| b), "{layout:?} q={q} cpb={cpb} not onto");
+            }
+        }
+    }
+
+    /// Every layout is affine in the component for a fixed cell.
+    #[test]
+    fn slots_are_affine_per_cell() {
+        for layout in [
+            Layout::BlockSoA,
+            Layout::CellAoS,
+            Layout::Tiled { width: 8 },
+        ] {
+            let s = layout.slots(19, 64);
+            for cell in 0..64 {
+                for comp in 0..19 {
+                    assert_eq!(s.of(comp, cell), s.cell_base(cell) + comp * s.comp_stride());
+                }
             }
         }
     }
