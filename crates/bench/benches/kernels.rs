@@ -74,7 +74,8 @@ fn engine(n: usize, variant: Variant) -> Engine<f64, D3Q19, Bgk<f64>> {
         .collision(Bgk::new(1.6))
         .variant(variant)
         .build(Executor::new(DeviceModel::a100_40gb()));
-    eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.01, 0.0, 0.0]);
+    eng.grid
+        .init_equilibrium(|_, _| 1.0, |_, _| [0.01, 0.0, 0.0]);
     eng
 }
 

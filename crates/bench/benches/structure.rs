@@ -20,13 +20,18 @@ fn sphereish_spec(curve: SpaceFillingCurve, block: usize) -> GridSpec {
     .with_block_size(block)
 }
 
-fn engine(curve: SpaceFillingCurve, block: usize, variant: Variant) -> Engine<f64, D3Q19, Bgk<f64>> {
+fn engine(
+    curve: SpaceFillingCurve,
+    block: usize,
+    variant: Variant,
+) -> Engine<f64, D3Q19, Bgk<f64>> {
     let grid = MultiGrid::<f64, D3Q19>::build(sphereish_spec(curve, block), &AllWalls, 1.6);
     let mut eng = Engine::builder(grid)
         .collision(Bgk::new(1.6))
         .variant(variant)
         .build(Executor::new(DeviceModel::a100_40gb()));
-    eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.02, 0.0, 0.0]);
+    eng.grid
+        .init_equilibrium(|_, _| 1.0, |_, _| [0.02, 0.0, 0.0]);
     eng
 }
 

@@ -19,11 +19,9 @@ fn table1(c: &mut Criterion) {
             let mut eng = flow.engine(variant, Executor::new(DeviceModel::a100_40gb()));
             eng.run(1); // warm the fields
             group.throughput(Throughput::Elements(eng.work_per_coarse_step()));
-            group.bench_with_input(
-                BenchmarkId::new(variant.name(), &label),
-                &(),
-                |b, _| b.iter(|| eng.step()),
-            );
+            group.bench_with_input(BenchmarkId::new(variant.name(), &label), &(), |b, _| {
+                b.iter(|| eng.step())
+            });
         }
     }
     group.finish();

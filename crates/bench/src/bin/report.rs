@@ -18,16 +18,20 @@
 
 use std::time::Instant;
 
-use lbm_bench::{cavity_case, checkpoint_case, graph_case, layout_case, sphere_case, stream_kernel_compare, streaming_case, table1_row, CaseResult, CheckpointCaseResult, ThreadSweepResult, thread_sweep_case};
+use lbm_bench::{
+    cavity_case, checkpoint_case, graph_case, layout_case, sphere_case, stream_kernel_compare,
+    streaming_case, table1_row, thread_sweep_case, CaseResult, CheckpointCaseResult,
+    ThreadSweepResult,
+};
 use lbm_compare::PalabosLike;
 use lbm_core::{alg1_graph, memory_report, step_graph, ExecMode, InteriorPath, MultiGrid, Variant};
 use lbm_gpu::{max_uniform_cube, DeviceModel, Executor};
 use lbm_lattice::{D3Q19, D3Q27};
-use lbm_sparse::Layout;
 use lbm_problems::airplane::{AirplaneConfig, AirplaneFlow};
 use lbm_problems::cavity::{Cavity, CavityConfig};
 use lbm_problems::diagnostics;
 use lbm_problems::sphere::{SphereConfig, SphereFlow};
+use lbm_sparse::Layout;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,8 +101,16 @@ fn fig2() {
     }
     let dir = std::env::temp_dir().join("lbm_report");
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("fig2_baseline.dot"), step_graph(3, Variant::ModifiedBaseline).to_dot("baseline")).unwrap();
-    std::fs::write(dir.join("fig2_ours.dot"), step_graph(3, Variant::FusedAll).to_dot("ours")).unwrap();
+    std::fs::write(
+        dir.join("fig2_baseline.dot"),
+        step_graph(3, Variant::ModifiedBaseline).to_dot("baseline"),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("fig2_ours.dot"),
+        step_graph(3, Variant::FusedAll).to_dot("ours"),
+    )
+    .unwrap();
     std::fs::write(dir.join("fig2_alg1.dot"), alg1_graph(3).to_dot("alg1")).unwrap();
     println!("DOT graphs written to {}", dir.display());
     println!("paper: \"around three times fewer kernels\" for the fused variant.");
@@ -141,8 +153,7 @@ fn fig7() {
             depth: 4,
             ..CavityConfig::default()
         });
-        let mut eng =
-            cavity.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
+        let mut eng = cavity.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
         let transit = cavity.transit_coarse_steps();
         let out = diagnostics::run_to_steady(&mut eng, transit, 2e-6, 120 * transit);
         assert!(!out.diverged, "fig7 cavity diverged at step {}", out.steps);
@@ -150,9 +161,16 @@ fn fig7() {
         println!(
             "N={n} levels={levels}: {} in {} coarse steps; \
              u rms={:.4} max={:.4}; v rms={:.4} max={:.4}",
-            if out.converged { "converged" } else { "hit step cap" },
+            if out.converged {
+                "converged"
+            } else {
+                "hit step cap"
+            },
             out.steps,
-            u_err.rms, u_err.max, v_err.rms, v_err.max
+            u_err.rms,
+            u_err.max,
+            v_err.rms,
+            v_err.max
         );
     }
     println!("(multi-level error is set by the coarse core resolution; the");
@@ -215,10 +233,16 @@ fn compare() {
         (pal.work_per_coarse_step() * steps as u64) as f64 / pal_wall.as_micros().max(1) as f64;
 
     let per_iter = |wall: std::time::Duration| wall.as_secs_f64() / steps as f64;
-    println!("{:<28} {:>12} {:>12} {:>14}", "implementation", "s/iteration", "MLUPS", "modeled MLUPS");
+    println!(
+        "{:<28} {:>12} {:>12} {:>14}",
+        "implementation", "s/iteration", "MLUPS", "modeled MLUPS"
+    );
     println!(
         "{:<28} {:>12.4} {:>12.2} {:>14.1}",
-        "ours (4f)", per_iter(ours.wall), ours.measured_mlups, ours.modeled_mlups
+        "ours (4f)",
+        per_iter(ours.wall),
+        ours.measured_mlups,
+        ours.modeled_mlups
     );
     println!(
         "{:<28} {:>12.4} {:>12.2} {:>14.1}",
@@ -229,7 +253,10 @@ fn compare() {
     );
     println!(
         "{:<28} {:>12.4} {:>12.2} {:>14}",
-        "Palabos-like (dense serial)", per_iter(pal_wall), pal_mlups, "n/a (CPU)"
+        "Palabos-like (dense serial)",
+        per_iter(pal_wall),
+        pal_mlups,
+        "n/a (CPU)"
     );
     println!(
         "speedup vs Palabos-like: {:.1}x measured on this host",
@@ -252,7 +279,7 @@ fn uniform() {
     banner("§VI-A — grid refinement vs uniform grid, same physical time");
     let n = 48usize;
     let phys_fine_steps = 96usize; // fixed physical horizon in finest steps
-    // Uniform: every step is a finest step.
+                                   // Uniform: every step is a finest step.
     let uni = cavity_case(
         n,
         1,
@@ -417,7 +444,13 @@ fn bench_json() {
     }
     let kernel_objs: Vec<String> = kernel
         .iter()
-        .map(|(p, m)| format!("      {{ \"path\": \"{}\", \"measured_mlups\": {:.3} }}", p.name(), m))
+        .map(|(p, m)| {
+            format!(
+                "      {{ \"path\": \"{}\", \"measured_mlups\": {:.3} }}",
+                p.name(),
+                m
+            )
+        })
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"streaming_fastpath\",\n  \"device_model\": \"a100_40gb\",\n  \
@@ -566,7 +599,10 @@ fn layout_group<V: lbm_lattice::VelocitySet>(
         })
         .collect();
     let digests_match = runs.windows(2).all(|w| w[0].2 == w[1].2);
-    println!("\n{} B={b} (lid-driven box n={n}, 2 levels, {steps} steps):", V::NAME);
+    println!(
+        "\n{} B={b} (lid-driven box n={n}, 2 levels, {steps} steps):",
+        V::NAME
+    );
     println!(
         "{:<14} {:>12} {:>14} {:>18}",
         "layout", "MLUPS", "modeled MLUPS", "digest"
@@ -582,7 +618,11 @@ fn layout_group<V: lbm_lattice::VelocitySet>(
     }
     println!(
         "digest gate: {}",
-        if digests_match { "OK (bit-identical)" } else { "MISMATCH" }
+        if digests_match {
+            "OK (bit-identical)"
+        } else {
+            "MISMATCH"
+        }
     );
     let layout_objs: Vec<String> = runs
         .iter()
@@ -664,9 +704,7 @@ fn thread_sweep() {
         .collect();
     let digests_match = results.windows(2).all(|w| w[0].digest == w[1].digest);
     let base_wall = results[0].case.wall.as_secs_f64();
-    println!(
-        "\ncavity n={n} L={levels}, {steps} steps, host cores: {host_cores}"
-    );
+    println!("\ncavity n={n} L={levels}, {steps} steps, host cores: {host_cores}");
     println!(
         "{:>7} {:>10} {:>12} {:>12} {:>7} {:>18}",
         "threads", "wall s", "speedup vs 1", "MLUPS", "staged", "digest"
@@ -684,7 +722,11 @@ fn thread_sweep() {
     }
     println!(
         "digest gate: {}",
-        if digests_match { "OK (bit-identical at every thread count)" } else { "MISMATCH" }
+        if digests_match {
+            "OK (bit-identical at every thread count)"
+        } else {
+            "MISMATCH"
+        }
     );
     if host_cores <= 1 {
         println!("note: single-core host — parallel speedup is not observable here.");
@@ -736,10 +778,20 @@ fn checkpoint_report() {
     let plan: Vec<(Layout, Layout, ExecMode, usize)> = vec![
         (soa, soa, ExecMode::Eager, 1),
         (Layout::CellAoS, Layout::CellAoS, ExecMode::Eager, 1),
-        (Layout::Tiled { width: 32 }, Layout::Tiled { width: 32 }, ExecMode::Eager, 1),
+        (
+            Layout::Tiled { width: 32 },
+            Layout::Tiled { width: 32 },
+            ExecMode::Eager,
+            1,
+        ),
         (soa, soa, ExecMode::Graph, 1),
         (Layout::CellAoS, Layout::CellAoS, ExecMode::Graph, 1),
-        (Layout::Tiled { width: 32 }, Layout::Tiled { width: 32 }, ExecMode::Graph, 1),
+        (
+            Layout::Tiled { width: 32 },
+            Layout::Tiled { width: 32 },
+            ExecMode::Graph,
+            1,
+        ),
         (soa, soa, ExecMode::Eager, 8),
         (soa, soa, ExecMode::Graph, 8),
         (soa, Layout::Tiled { width: 32 }, ExecMode::Eager, 1),
@@ -759,9 +811,7 @@ fn checkpoint_report() {
         .iter()
         .filter(|(_, cross)| *cross)
         .all(|(r, _)| r.digests_match());
-    println!(
-        "\ncavity n={n} L={levels}, interrupt at {interrupt_at}/{total} coarse steps"
-    );
+    println!("\ncavity n={n} L={levels}, interrupt at {interrupt_at}/{total} coarse steps");
     println!(
         "{:>34} {:>12} {:>11} {:>11} {:>6}",
         "case", "snapshot B", "save MiB/s", "load MiB/s", "match"
@@ -778,7 +828,11 @@ fn checkpoint_report() {
     }
     println!(
         "restart gate: {}",
-        if all_match { "OK (resume bit-identical to uninterrupted)" } else { "MISMATCH" }
+        if all_match {
+            "OK (resume bit-identical to uninterrupted)"
+        } else {
+            "MISMATCH"
+        }
     );
     let case_objs: Vec<String> = results
         .iter()
@@ -829,7 +883,11 @@ fn fig1(paper_scale: bool) {
         cfg.size[1],
         cfg.size[2],
         cfg.levels,
-        if paper_scale { " (paper scale)" } else { " (scaled; pass --paper-scale for 1596×840×840)" }
+        if paper_scale {
+            " (paper scale)"
+        } else {
+            " (scaled; pass --paper-scale for 1596×840×840)"
+        }
     );
     let flow = AirplaneFlow::new(cfg);
     let t0 = Instant::now();

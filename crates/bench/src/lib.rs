@@ -18,9 +18,9 @@ use std::time::Duration;
 
 use lbm_core::{ExecMode, InteriorPath, Variant};
 use lbm_gpu::{DeviceModel, Executor, KernelSpan, KernelStats};
-use lbm_sparse::Layout;
 use lbm_problems::cavity::{Cavity, CavityConfig};
 use lbm_problems::sphere::{SphereConfig, SphereFlow};
+use lbm_sparse::Layout;
 
 /// Outcome of one benchmark case.
 #[derive(Clone, Debug)]
@@ -524,11 +524,9 @@ pub fn graph_case(
         depth: 8,
         ..CavityConfig::default()
     });
-    let mut eng = cavity.engine_with(
-        variant,
-        Executor::new(DeviceModel::a100_40gb()),
-        |b| b.exec_mode(mode),
-    );
+    let mut eng = cavity.engine_with(variant, Executor::new(DeviceModel::a100_40gb()), |b| {
+        b.exec_mode(mode)
+    });
     let (graph, schedule) = eng.step_task_graph();
     let case = time_engine(
         format!("cavity n={n} L={levels} {} {mode:?}", variant.name()),

@@ -13,9 +13,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use lbm_core::{Boundary, GridSpec};
-use lbm_lattice::{
-    equilibrium, moments, omega_at_level, Bgk, Collision, VelocitySet, MAX_Q,
-};
+use lbm_lattice::{equilibrium, moments, omega_at_level, Bgk, Collision, VelocitySet, MAX_Q};
 use lbm_sparse::{Box3, Coord};
 
 /// Cell classification in the dense arrays.
@@ -49,9 +47,7 @@ impl DenseLevel {
             return None;
         }
         let r = p - self.dom.lo;
-        Some(
-            ((r.x as usize) * self.dims[1] + r.y as usize) * self.dims[2] + r.z as usize,
-        )
+        Some(((r.x as usize) * self.dims[1] + r.y as usize) * self.dims[2] + r.z as usize)
     }
 }
 
@@ -348,9 +344,7 @@ impl<V: VelocitySet> PalabosLike<V> {
         self.levels
             .iter()
             .enumerate()
-            .map(|(l, lv)| {
-                (lv.kind.iter().filter(|&&k| k == Kind::Real).count() as u64) << l
-            })
+            .map(|(l, lv)| (lv.kind.iter().filter(|&&k| k == Kind::Real).count() as u64) << l)
             .sum()
     }
 }
@@ -368,7 +362,8 @@ mod tests {
 
     #[test]
     fn equilibrium_fixed_point_and_mass() {
-        let mut s = PalabosLike::<D3Q19>::new(two_level_spec(), |_, _, _| Boundary::BounceBack, 1.5);
+        let mut s =
+            PalabosLike::<D3Q19>::new(two_level_spec(), |_, _, _| Boundary::BounceBack, 1.5);
         s.init_equilibrium(|_, _| 1.0, |_, _| [0.0; 3]);
         let m0 = s.total_mass();
         s.run(5);

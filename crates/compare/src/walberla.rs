@@ -71,7 +71,8 @@ mod tests {
         );
         assert_eq!(eng.variant, Variant::ModifiedBaseline);
         assert_eq!(eng.grid.levels[0].grid.block_size(), 2);
-        eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.01, 0.0, 0.0]);
+        eng.grid
+            .init_equilibrium(|_, _| 1.0, |_, _| [0.01, 0.0, 0.0]);
         let m0 = eng.grid.total_mass();
         eng.run(3);
         // Cubic refined region ⇒ corner-bounded drift (see lbm-core's
@@ -82,11 +83,7 @@ mod tests {
     #[test]
     fn tiny_blocks_launch_many_more_blocks() {
         let spec = GridSpec::uniform(Box3::from_dims(16, 16, 16));
-        let ours = MultiGrid::<f64, lbm_lattice::D3Q19>::build(
-            spec,
-            &AllWalls,
-            1.0,
-        );
+        let ours = MultiGrid::<f64, lbm_lattice::D3Q19>::build(spec, &AllWalls, 1.0);
         let spec2 = GridSpec::uniform(Box3::from_dims(16, 16, 16)).with_block_size(2);
         let theirs = MultiGrid::<f64, lbm_lattice::D3Q19>::build(spec2, &AllWalls, 1.0);
         assert_eq!(ours.levels[0].grid.num_blocks(), 64);

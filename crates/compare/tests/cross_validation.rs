@@ -100,8 +100,10 @@ fn dense_serial_solver_matches_optimized_engine() {
 #[test]
 fn dense_solver_matches_on_periodic_slab() {
     let spec_fn = || {
-        GridSpec::new(2, Box3::from_dims(16, 16, 8), |l, p| l == 0 && (2..6).contains(&p.y))
-            .with_periodic([true, false, true])
+        GridSpec::new(2, Box3::from_dims(16, 16, 8), |l, p| {
+            l == 0 && (2..6).contains(&p.y)
+        })
+        .with_periodic([true, false, true])
     };
     let omega0 = 1.3;
     let walls = |_: u32, _: Coord, _: usize| Boundary::BounceBack;

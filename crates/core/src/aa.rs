@@ -25,7 +25,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use lbm_lattice::{Collision, Real, VelocitySet, MAX_Q};
-use lbm_sparse::{Box3, Coord, Field, GridBuilder, Layout, SparseGrid, SpaceFillingCurve};
+use lbm_sparse::{Box3, Coord, Field, GridBuilder, Layout, SpaceFillingCurve, SparseGrid};
 
 /// Single-buffer AA-pattern solver on a fully periodic uniform box.
 pub struct AaSolver<T, V, C> {
@@ -82,11 +82,7 @@ where
             let mut feq = [T::ZERO; MAX_Q];
             lbm_lattice::equilibrium::<T, V>(
                 T::from_f64(rho(c)),
-                [
-                    T::from_f64(uv[0]),
-                    T::from_f64(uv[1]),
-                    T::from_f64(uv[2]),
-                ],
+                [T::from_f64(uv[0]), T::from_f64(uv[1]), T::from_f64(uv[2])],
                 &mut feq,
             );
             for i in 0..V::Q {
@@ -155,7 +151,10 @@ where
     /// Density and velocity at a cell. Only meaningful at even parity
     /// (normal layout).
     pub fn probe(&self, c: Coord) -> Option<(f64, [f64; 3])> {
-        assert!(self.steps.is_multiple_of(2), "probe at even parity (normal layout)");
+        assert!(
+            self.steps.is_multiple_of(2),
+            "probe at even parity (normal layout)"
+        );
         let r = self.grid.cell_ref(c)?;
         let mut fl = [T::ZERO; MAX_Q];
         for i in 0..V::Q {
@@ -199,15 +198,13 @@ mod tests {
         let mut aa = AaSolver::<f64, D3Q19, _>::new([16, 16, 8], 4, Bgk::new(omega));
         aa.init_equilibrium(|_| 1.0, init_u);
 
-        let spec =
-            GridSpec::uniform(Box3::from_dims(16, 16, 8)).with_periodic([true, true, true]);
+        let spec = GridSpec::uniform(Box3::from_dims(16, 16, 8)).with_periodic([true, true, true]);
         let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, omega);
         let mut eng = Engine::builder(grid)
             .collision(Bgk::new(omega))
             .variant(Variant::FusedAll)
             .build(Executor::sequential(DeviceModel::a100_40gb()));
-        eng.grid
-            .init_equilibrium(|_, _| 1.0, |_, c| init_u(c));
+        eng.grid.init_equilibrium(|_, _| 1.0, |_, c| init_u(c));
 
         aa.run(6); // three even+odd pairs
         eng.run(6);

@@ -76,7 +76,10 @@ mod tests {
                 velocity: [0.1, 0.0, 0.0]
             }
         );
-        assert_eq!(spec.classify(0, Coord::new(0, 5, 0), 3), Boundary::BounceBack);
+        assert_eq!(
+            spec.classify(0, Coord::new(0, 5, 0), 3),
+            Boundary::BounceBack
+        );
     }
 
     #[test]

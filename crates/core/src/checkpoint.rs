@@ -80,7 +80,10 @@ impl fmt::Display for CheckpointError {
             Self::Truncated => write!(f, "snapshot is truncated"),
             Self::BadMagic => write!(f, "not a checkpoint snapshot (bad magic)"),
             Self::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (this build reads {VERSION})")
+                write!(
+                    f,
+                    "unsupported snapshot version {v} (this build reads {VERSION})"
+                )
             }
             Self::ChecksumMismatch => write!(f, "snapshot checksum mismatch (corrupted)"),
             Self::Mismatch(why) => write!(f, "snapshot does not match this engine: {why}"),
@@ -228,7 +231,10 @@ pub fn restore<T: Real, V: VelocitySet>(
         return Err(CheckpointError::ChecksumMismatch);
     }
 
-    let mut r = Reader { buf: body, pos: MAGIC.len() };
+    let mut r = Reader {
+        buf: body,
+        pos: MAGIC.len(),
+    };
     let version = r.u32()?;
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
@@ -462,9 +468,16 @@ mod tests {
             l == 0 && (4..12).contains(&p.x) && (4..12).contains(&p.y) && (4..12).contains(&p.z)
         });
         let mut mg = MG::build(spec, &AllWalls, 1.5);
-        mg.init_equilibrium(|_, _| 1.0, |l, c| {
-            [0.01 + 0.001 * l as f64, 1e-4 * c.x as f64, -1e-4 * c.y as f64]
-        });
+        mg.init_equilibrium(
+            |_, _| 1.0,
+            |l, c| {
+                [
+                    0.01 + 0.001 * l as f64,
+                    1e-4 * c.x as f64,
+                    -1e-4 * c.y as f64,
+                ]
+            },
+        );
         mg
     }
 
@@ -579,8 +592,11 @@ mod tests {
         restore(&mut aos, &blob).expect("cross-layout restore");
         for (a, b) in soa.levels.iter().zip(&aos.levels) {
             for h in 0..2 {
-                for (x, y) in a.f.half(h).canonical_values().iter()
-                    .zip(b.f.half(h).canonical_values())
+                for (x, y) in
+                    a.f.half(h)
+                        .canonical_values()
+                        .iter()
+                        .zip(b.f.half(h).canonical_values())
                 {
                     assert_eq!(x.to_bits(), y.to_bits());
                 }
@@ -594,7 +610,9 @@ mod tests {
         assert_eq!(g.check_every(), 25);
         assert_eq!(g.configured_policy(), HealthPolicy::Abort);
         assert!((g.speed_bound() - 1.0 / 3f64.sqrt()).abs() < 1e-15);
-        let g = g.max_speed(0.1).policy(HealthPolicy::RollbackToLastCheckpoint(2));
+        let g = g
+            .max_speed(0.1)
+            .policy(HealthPolicy::RollbackToLastCheckpoint(2));
         assert_eq!(g.speed_bound(), 0.1);
         assert_eq!(
             g.configured_policy(),

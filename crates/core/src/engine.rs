@@ -612,22 +612,20 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                 HealthAction::Aborted
             }
             HealthPolicy::Report => HealthAction::Reported,
-            HealthPolicy::RollbackToLastCheckpoint(budget) => {
-                match self.last_snapshot.take() {
-                    Some((to_step, blob)) if self.rollbacks < budget => {
-                        self.restore(&blob)
-                            .expect("engine's own snapshot must restore");
-                        self.rollbacks += 1;
-                        self.last_snapshot = Some((to_step, blob));
-                        HealthAction::RolledBack { to_step }
-                    }
-                    other => {
-                        self.last_snapshot = other;
-                        self.halted = true;
-                        HealthAction::Halted
-                    }
+            HealthPolicy::RollbackToLastCheckpoint(budget) => match self.last_snapshot.take() {
+                Some((to_step, blob)) if self.rollbacks < budget => {
+                    self.restore(&blob)
+                        .expect("engine's own snapshot must restore");
+                    self.rollbacks += 1;
+                    self.last_snapshot = Some((to_step, blob));
+                    HealthAction::RolledBack { to_step }
                 }
-            }
+                other => {
+                    self.last_snapshot = other;
+                    self.halted = true;
+                    HealthAction::Halted
+                }
+            },
         };
         self.health_events.push(HealthEvent {
             step,
@@ -763,7 +761,11 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
     // Temporal extrapolation weight: the second substep of the parent
     // interval sits at t + Δt_c/2, half a coarse step past the coarse
     // state — `0.5` extrapolates linearly from the previous state.
-    let blend = if time_interp && op.phase == 1 { 0.5 } else { 0.0 };
+    let blend = if time_interp && op.phase == 1 {
+        0.5
+    } else {
+        0.0
+    };
     let accum = coarse.and_then(|c| {
         if c.ghost > 0 {
             let sink = match (staged, lv.stage) {

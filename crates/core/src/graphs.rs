@@ -45,13 +45,7 @@ pub fn alg1_graph(levels: u32) -> TaskGraph {
 
     fn rec(g: &mut TaskGraph, f: &[FieldId], l: u32, levels: u32, second_half: bool) {
         let li = l as usize;
-        g.push(node(
-            format!("C{l}"),
-            l,
-            vec![f[li]],
-            vec![f[li]],
-            vec![],
-        ));
+        g.push(node(format!("C{l}"), l, vec![f[li]], vec![f[li]], vec![]));
         if l != levels - 1 {
             rec(g, f, l + 1, levels, false);
         }
@@ -64,13 +58,7 @@ pub fn alg1_graph(levels: u32) -> TaskGraph {
                 vec![],
             ));
         }
-        g.push(node(
-            format!("S{l}"),
-            l,
-            vec![f[li]],
-            vec![f[li]],
-            vec![],
-        ));
+        g.push(node(format!("S{l}"), l, vec![f[li]], vec![f[li]], vec![]));
         if l != levels - 1 {
             g.push(node(
                 format!("O{l}"),

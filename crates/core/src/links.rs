@@ -99,7 +99,10 @@ impl<T: Copy> BlockLinks<T> {
     /// Registers `links` (must be sorted by dir) for `cell`.
     pub fn insert(&mut self, cell: u32, links: Vec<Link<T>>) {
         debug_assert!(links.windows(2).all(|w| w[0].dir < w[1].dir));
-        debug_assert_eq!(self.exc_of[cell as usize], NO_LINKS, "cell registered twice");
+        debug_assert_eq!(
+            self.exc_of[cell as usize], NO_LINKS,
+            "cell registered twice"
+        );
         if links.is_empty() {
             return;
         }

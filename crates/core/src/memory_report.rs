@@ -44,9 +44,15 @@ impl MemoryReport {
     /// the modeled device.
     pub fn to_plan(&self) -> MemoryPlan {
         let mut p = MemoryPlan::new();
-        p.push("populations (2 buffers, all levels)", self.population_bytes as u64)
-            .push("ghost accumulators (1 coarse layer)", self.ghost_bytes as u64)
-            .push("topology metadata", self.metadata_bytes as u64);
+        p.push(
+            "populations (2 buffers, all levels)",
+            self.population_bytes as u64,
+        )
+        .push(
+            "ghost accumulators (1 coarse layer)",
+            self.ghost_bytes as u64,
+        )
+        .push("topology metadata", self.metadata_bytes as u64);
         p
     }
 }
@@ -88,7 +94,13 @@ pub fn plan_hypothetical(
 ) -> MemoryPlan {
     let mut p = MemoryPlan::new();
     for (l, &(real, ghost)) in cells_per_level.iter().enumerate() {
-        p.push_populations(format!("level {l} populations"), real + ghost, q, value_bytes, 2);
+        p.push_populations(
+            format!("level {l} populations"),
+            real + ghost,
+            q,
+            value_bytes,
+            2,
+        );
         p.push(
             format!("level {l} ghost accumulators"),
             ghost * (q * 8) as u64,

@@ -209,9 +209,8 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                             let mask = Self::crossing_mask_at(&spec, &grids, &flags, l, x);
                             if mask != 0 {
                                 accumulates = true;
-                                let tgt = acc_target[r.block as usize].get_or_insert_with(|| {
-                                    vec![NO_TARGET; cpb].into_boxed_slice()
-                                });
+                                let tgt = acc_target[r.block as usize]
+                                    .get_or_insert_with(|| vec![NO_TARGET; cpb].into_boxed_slice());
                                 tgt[r.cell as usize] = encode_ref(pr);
                                 let dm = acc_dirs[r.block as usize]
                                     .get_or_insert_with(|| vec![0u32; cpb].into_boxed_slice());
@@ -579,11 +578,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 }
                 let rv = T::from_f64(rho(l as u32, c));
                 let uv = u(l as u32, c);
-                let uvt = [
-                    T::from_f64(uv[0]),
-                    T::from_f64(uv[1]),
-                    T::from_f64(uv[2]),
-                ];
+                let uvt = [T::from_f64(uv[0]), T::from_f64(uv[1]), T::from_f64(uv[2])];
                 let mut feq = [T::ZERO; MAX_Q];
                 equilibrium::<T, V>(rv, uvt, &mut feq);
                 #[allow(clippy::needless_range_loop)] // parallel table indexing
@@ -650,9 +645,9 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
     /// last substep before a parity swap — would otherwise escape detection
     /// and resurface on the next swap.
     pub fn is_finite(&self) -> bool {
-        self.levels.iter().all(|lv| {
-            (0..2).all(|h| lv.f.half(h).as_slice().iter().all(|v| v.is_finite()))
-        })
+        self.levels
+            .iter()
+            .all(|lv| (0..2).all(|h| lv.f.half(h).as_slice().iter().all(|v| v.is_finite())))
     }
 
     /// Maximum flow speed `|u|` over the real cells of every level, in
@@ -752,7 +747,10 @@ mod tests {
                 }
             }
         }
-        assert!(explosion > 0, "fine boundary cells must explode from coarse");
+        assert!(
+            explosion > 0,
+            "fine boundary cells must explode from coarse"
+        );
         assert_eq!(coalesce, 0, "fine level has no ghost neighbors");
         assert_eq!(bb, 0, "fine region is interior, no walls touch it");
         let mut coalesce0 = 0usize;

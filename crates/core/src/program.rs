@@ -210,12 +210,7 @@ pub fn stage_id(level: usize, n_levels: usize) -> FieldId {
 /// `staged` must match the flag given to [`step_ops`]: it reroutes the
 /// Accumulate scatter from an atomic update of the coarse accumulators to a
 /// plain write of the level's staging slab (consumed by the `M` merge node).
-pub fn kernel_node(
-    op: &StepOp,
-    topo: &[LevelTopo],
-    time_interp: bool,
-    staged: bool,
-) -> KernelNode {
+pub fn kernel_node(op: &StepOp, topo: &[LevelTopo], time_interp: bool, staged: bool) -> KernelNode {
     let n = topo.len();
     let l = op.level;
     let t = topo[l];
@@ -226,12 +221,7 @@ pub fn kernel_node(
     let coarse_acc = || acc_id(l - 1, n);
 
     let (label, reads, writes, atomics) = match op.kind {
-        OpKind::AccGather => (
-            format!("A{l}"),
-            vec![src],
-            vec![coarse_acc()],
-            vec![],
-        ),
+        OpKind::AccGather => (format!("A{l}"), vec![src], vec![coarse_acc()], vec![]),
         OpKind::Stream {
             explosion,
             coalesce,
@@ -269,12 +259,7 @@ pub fn kernel_node(
             }
             (format!("E{l}"), reads, vec![dst], vec![])
         }
-        OpKind::Coalesce => (
-            format!("O{l}"),
-            vec![acc_id(l, n)],
-            vec![dst],
-            vec![],
-        ),
+        OpKind::Coalesce => (format!("O{l}"), vec![acc_id(l, n)], vec![dst], vec![]),
         OpKind::Collide => (format!("C{l}"), vec![dst], vec![dst], vec![]),
         OpKind::Fused { accumulate } => {
             let mut reads = vec![src];

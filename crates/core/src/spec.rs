@@ -63,7 +63,10 @@ impl GridSpec {
     /// Sets the solid-obstacle predicate (cells carved out of the grid;
     /// their surfaces become halfway bounce-back walls via the boundary
     /// spec).
-    pub fn with_solid(mut self, solid: impl Fn(u32, Coord) -> bool + Send + Sync + 'static) -> Self {
+    pub fn with_solid(
+        mut self,
+        solid: impl Fn(u32, Coord) -> bool + Send + Sync + 'static,
+    ) -> Self {
         self.solid = Box::new(solid);
         self
     }
@@ -117,7 +120,10 @@ impl GridSpec {
     /// Domain box in level-`l` coordinates (exact division by alignment).
     pub fn domain_at(&self, level: u32) -> Box3 {
         let f = self.scale_to_finest(level);
-        Box3::new(self.finest_domain.lo.div_euclid(f), self.finest_domain.hi.div_euclid(f))
+        Box3::new(
+            self.finest_domain.lo.div_euclid(f),
+            self.finest_domain.hi.div_euclid(f),
+        )
     }
 
     /// Whether the level-`l` cell `p` is subdivided into level `l+1`.
@@ -137,11 +143,7 @@ impl GridSpec {
     /// the octree actually descends to `p`.
     pub fn ancestors_refined(&self, level: u32, p: Coord) -> bool {
         for k in 0..level {
-            let ancestor = Coord::new(
-                p.x >> (level - k),
-                p.y >> (level - k),
-                p.z >> (level - k),
-            );
+            let ancestor = Coord::new(p.x >> (level - k), p.y >> (level - k), p.z >> (level - k));
             if !self.is_refined(k, ancestor) {
                 return false;
             }
@@ -215,9 +217,7 @@ pub fn census(spec: &GridSpec) -> Vec<LevelCensus> {
         'ghost: for dz in -1..=1 {
             for dy in -1..=1 {
                 for dx in -1..=1 {
-                    if (dx, dy, dz) != (0, 0, 0)
-                        && spec.owned(level, p + Coord::new(dx, dy, dz))
-                    {
+                    if (dx, dy, dz) != (0, 0, 0) && spec.owned(level, p + Coord::new(dx, dy, dz)) {
                         out[level as usize].ghost += 1;
                         break 'ghost;
                     }
@@ -246,9 +246,7 @@ pub mod presets {
     /// concentric nested refinement. `boxes[l]` is the region of level `l`
     /// that is subdivided into level `l+1`, in level-`l` coordinates.
     pub fn nested_boxes(boxes: Vec<Box3>) -> impl Fn(u32, Coord) -> bool + Send + Sync {
-        move |level, p| {
-            (level as usize) < boxes.len() && boxes[level as usize].contains(p)
-        }
+        move |level, p| (level as usize) < boxes.len() && boxes[level as usize].contains(p)
     }
 
     /// Refine within `width_l` cells (level-local) of the domain walls on
@@ -392,8 +390,8 @@ mod tests {
 
     #[test]
     fn census_respects_solids() {
-        let s = GridSpec::new(1, Box3::from_dims(4, 4, 4), |_, _| false)
-            .with_solid(|_, p| p.x == 0);
+        let s =
+            GridSpec::new(1, Box3::from_dims(4, 4, 4), |_, _| false).with_solid(|_, p| p.x == 0);
         let c = census(&s);
         assert_eq!(c[0].owned, 4 * 4 * 3);
     }

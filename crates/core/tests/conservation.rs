@@ -34,7 +34,8 @@ fn drift_after(eng: &mut Eng, steps: usize) -> f64 {
 #[test]
 fn tangential_uniform_flow_is_exact() {
     let mut eng = slab();
-    eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.02, 0.0, 0.0]);
+    eng.grid
+        .init_equilibrium(|_, _| 1.0, |_, _| [0.02, 0.0, 0.0]);
     let d = drift_after(&mut eng, 10);
     assert!(d.abs() < 1e-13, "tangential drift {d:e}");
 }
@@ -45,7 +46,8 @@ fn perpendicular_uniform_flow_is_exact() {
     // the interface: conservation must still hold to round-off because the
     // interfaces are flat.
     let mut eng = slab();
-    eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.0, 0.02, 0.0]);
+    eng.grid
+        .init_equilibrium(|_, _| 1.0, |_, _| [0.0, 0.02, 0.0]);
     let d = drift_after(&mut eng, 10);
     assert!(d.abs() < 1e-13, "perpendicular drift {d:e}");
 }
@@ -67,7 +69,8 @@ fn density_gradient_across_interface_is_exact() {
 #[test]
 fn per_step_drift_is_roundoff_for_flat_interfaces() {
     let mut eng = slab();
-    eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.0, 0.02, 0.0]);
+    eng.grid
+        .init_equilibrium(|_, _| 1.0, |_, _| [0.0, 0.02, 0.0]);
     for s in 0..6 {
         let m0 = eng.grid.total_mass();
         eng.step();
@@ -122,7 +125,11 @@ fn momentum_conserved_in_fully_periodic_refined_box() {
         |l, p| {
             let scale = if l == 0 { 2.0 } else { 1.0 };
             let y = p.y as f64 * scale;
-            [0.02 * (std::f64::consts::TAU * y / 32.0).sin() + 0.01, 0.005, 0.0]
+            [
+                0.02 * (std::f64::consts::TAU * y / 32.0).sin() + 0.01,
+                0.005,
+                0.0,
+            ]
         },
     );
     let m0 = eng.grid.total_momentum();

@@ -73,7 +73,10 @@ fn mass_conserved_in_closed_box_with_refinement() {
     // corners carry the volumetric fan-out approximation (flat faces are
     // exactly conservative — see the slab test below). The bound here is
     // the documented corner error, ~1e-7 relative per coarse step.
-    assert!(drift < 1e-5, "relative mass drift {drift} over 40 coarse steps");
+    assert!(
+        drift < 1e-5,
+        "relative mass drift {drift} over 40 coarse steps"
+    );
 }
 
 #[test]
@@ -194,8 +197,8 @@ fn shear_wave_decay_matches_viscosity_uniform() {
 #[test]
 fn shear_wave_decay_matches_viscosity_refined() {
     let n = 32usize; // finest-units domain
-    // Refine the central band y ∈ [8, 24) (finest units): coarse cells
-    // y ∈ [4, 12) at level 0.
+                     // Refine the central band y ∈ [8, 24) (finest units): coarse cells
+                     // y ∈ [4, 12) at level 0.
     let spec = GridSpec::new(2, Box3::from_dims(n, n, 8), |l, p| {
         l == 0 && (4..12).contains(&p.y)
     })
@@ -328,7 +331,11 @@ fn d2q9_couette_runs_in_plane() {
         let (_, u) = eng.grid.probe_finest(Coord::new(4, y, 0)).unwrap();
         assert!(u[0] > prev, "profile must increase monotonically");
         let expect = u_wall * (y as f64 + 0.5) / ny as f64;
-        assert!((u[0] - expect).abs() < 0.02 * u_wall, "y={y}: {} vs {expect}", u[0]);
+        assert!(
+            (u[0] - expect).abs() < 0.02 * u_wall,
+            "y={y}: {} vs {expect}",
+            u[0]
+        );
         prev = u[0];
     }
 }

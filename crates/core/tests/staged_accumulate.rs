@@ -24,7 +24,11 @@ fn engine(cfg: impl FnOnce(BuilderOf) -> BuilderOf) -> Eng {
         |_, _| 1.0,
         |l, p| {
             let k = (l as i32 + 3 * p.x + 5 * p.y + 7 * p.z) as f64;
-            [0.02 * (k * 0.37).sin(), 0.015 * (k * 0.61).cos(), 0.01 * (k * 0.23).sin()]
+            [
+                0.02 * (k * 0.37).sin(),
+                0.015 * (k * 0.61).cos(),
+                0.01 * (k * 0.23).sin(),
+            ]
         },
     );
     eng
@@ -54,7 +58,9 @@ fn serial_default_keeps_the_atomic_path_wired() {
     assert!(!eng.staged_accumulate(), "1 thread must default to serial");
     // The serial program has no merge ops: the scatter is the atomic sink.
     assert!(
-        !eng.step_program().iter().any(|o| o.kind == OpKind::AccMerge),
+        !eng.step_program()
+            .iter()
+            .any(|o| o.kind == OpKind::AccMerge),
         "serial program must not contain AccMerge"
     );
     // The fused scatter declares the accumulators as an atomic access.
@@ -104,7 +110,12 @@ fn both_paths_produce_identical_bits() {
     );
     // The serial engine never launched a merge kernel.
     assert!(
-        !serial.exec.profiler().per_kernel().iter().any(|(n, _)| n.starts_with('M')),
+        !serial
+            .exec
+            .profiler()
+            .per_kernel()
+            .iter()
+            .any(|(n, _)| n.starts_with('M')),
         "serial run must not launch merge kernels"
     );
 }

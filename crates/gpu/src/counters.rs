@@ -357,7 +357,8 @@ impl Profiler {
     pub fn record_launch(&self, name: &'static str, cost: LaunchCost, wall_us: f64) {
         self.launches.fetch_add(1, Ordering::Relaxed);
         self.cells.fetch_add(cost.cells, Ordering::Relaxed);
-        self.bytes_read.fetch_add(cost.bytes_read, Ordering::Relaxed);
+        self.bytes_read
+            .fetch_add(cost.bytes_read, Ordering::Relaxed);
         self.bytes_written
             .fetch_add(cost.bytes_written, Ordering::Relaxed);
         self.atomic_bytes
@@ -368,7 +369,11 @@ impl Profiler {
             .fetch_add(uncoalesced_bytes(&cost), Ordering::Relaxed);
         self.wall_ns
             .fetch_add((wall_us * 1e3) as u64, Ordering::Relaxed);
-        self.per_kernel.lock().entry(name).or_default().add(cost, wall_us);
+        self.per_kernel
+            .lock()
+            .entry(name)
+            .or_default()
+            .add(cost, wall_us);
         if self.tracing.load(Ordering::Relaxed) {
             let end_us = self.epoch.elapsed().as_secs_f64() * 1e6;
             let ctx = SPAN_CTX.with(Cell::get);
@@ -511,7 +516,10 @@ impl Profiler {
         let mut out = String::new();
         for (wave, group) in &by_wave {
             let bytes: u64 = group.iter().map(|s| s.bytes).sum();
-            let start = group.iter().map(|s| s.start_us).fold(f64::INFINITY, f64::min);
+            let start = group
+                .iter()
+                .map(|s| s.start_us)
+                .fold(f64::INFINITY, f64::min);
             let end = group
                 .iter()
                 .map(|s| s.start_us + s.dur_us)
@@ -606,7 +614,7 @@ mod tests {
         assert_eq!(coalescing_efficiency(32, 8), 1.0);
         assert_eq!(coalescing_efficiency(512, 8), 1.0); // clamped to a warp
         assert_eq!(coalescing_efficiency(4, 8), 1.0); // one full transaction
-        // AoS: each lane fetches a 32-byte transaction for one value.
+                                                      // AoS: each lane fetches a 32-byte transaction for one value.
         assert_eq!(coalescing_efficiency(1, 8), 0.25);
         assert_eq!(coalescing_efficiency(1, 4), 0.125);
         // Short tiles use half a transaction.

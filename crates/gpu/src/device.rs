@@ -97,7 +97,13 @@ impl DeviceModel {
 
     /// How many cells of a `q`-component double-buffered population field
     /// (plus topology overhead fraction `meta_overhead`) fit in memory.
-    pub fn capacity_cells(&self, q: usize, bytes_per_value: usize, buffers: usize, meta_overhead: f64) -> u64 {
+    pub fn capacity_cells(
+        &self,
+        q: usize,
+        bytes_per_value: usize,
+        buffers: usize,
+        meta_overhead: f64,
+    ) -> u64 {
         let per_cell = (q * bytes_per_value * buffers) as f64 * (1.0 + meta_overhead);
         (self.memory_bytes as f64 / per_cell) as u64
     }
@@ -154,7 +160,11 @@ mod tests {
         use crate::counters::LaunchCost;
         let d = DeviceModel::a100_40gb();
         let a = LaunchCost::cells(1 << 20).loads(19).stores(19).build();
-        let b = LaunchCost::cells(1 << 18).loads(19).stores(19).atomics(1).build();
+        let b = LaunchCost::cells(1 << 18)
+            .loads(19)
+            .stores(19)
+            .atomics(1)
+            .build();
         let serial = d.total_time_us(
             2,
             0,

@@ -251,12 +251,7 @@ impl ThreadPool {
             fin = job.done_cv.wait(fin).unwrap_or_else(|e| e.into_inner());
         }
         drop(fin);
-        if let Some(payload) = job
-            .panic
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
+        if let Some(payload) = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take() {
             std::panic::resume_unwind(payload);
         }
         job.per_thread
@@ -433,7 +428,10 @@ impl Executor {
         T: Send,
         F: Fn(u32, &mut [T]) + Sync,
     {
-        assert!(stride > 0 && data.len().is_multiple_of(stride), "data not block-aligned");
+        assert!(
+            stride > 0 && data.len().is_multiple_of(stride),
+            "data not block-aligned"
+        );
         let n_blocks = data.len() / stride;
         let t0 = Instant::now();
         let base = SendPtr(data.as_mut_ptr());
@@ -469,9 +467,19 @@ impl Executor {
         U: Send,
         F: Fn(u32, &mut [T], &mut [U]) + Sync,
     {
-        assert!(stride_a > 0 && a.len().is_multiple_of(stride_a), "a not block-aligned");
-        assert!(stride_b > 0 && b.len().is_multiple_of(stride_b), "b not block-aligned");
-        assert_eq!(a.len() / stride_a, b.len() / stride_b, "block count mismatch");
+        assert!(
+            stride_a > 0 && a.len().is_multiple_of(stride_a),
+            "a not block-aligned"
+        );
+        assert!(
+            stride_b > 0 && b.len().is_multiple_of(stride_b),
+            "b not block-aligned"
+        );
+        assert_eq!(
+            a.len() / stride_a,
+            b.len() / stride_b,
+            "block count mismatch"
+        );
         let n_blocks = a.len() / stride_a;
         let t0 = Instant::now();
         let pa = SendPtr(a.as_mut_ptr());
@@ -550,10 +558,18 @@ mod tests {
         let ex = Executor::default();
         let mut a = vec![0u32; 4 * 8];
         let mut b = vec![0f64; 4 * 2];
-        ex.launch_mut2("k", &mut a, 8, &mut b, 2, LaunchCost::default(), |i, ca, cb| {
-            ca.fill(i);
-            cb.fill(i as f64 * 0.5);
-        });
+        ex.launch_mut2(
+            "k",
+            &mut a,
+            8,
+            &mut b,
+            2,
+            LaunchCost::default(),
+            |i, ca, cb| {
+                ca.fill(i);
+                cb.fill(i as f64 * 0.5);
+            },
+        );
         assert_eq!(a[3 * 8], 3);
         assert_eq!(b[3 * 2], 1.5);
     }
@@ -584,7 +600,11 @@ mod tests {
                 counts[b as usize].fetch_add(1, Ordering::Relaxed);
             });
             for (b, c) in counts.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "block {b} at {threads} threads");
+                assert_eq!(
+                    c.load(Ordering::Relaxed),
+                    1,
+                    "block {b} at {threads} threads"
+                );
             }
         }
     }
@@ -647,7 +667,10 @@ mod tests {
                 assert!(b != 17, "boom at block 17");
             });
         }));
-        assert!(r.is_err(), "panic in a kernel block must reach the launcher");
+        assert!(
+            r.is_err(),
+            "panic in a kernel block must reach the launcher"
+        );
         // The pool survives a panicked job and keeps executing.
         let hits = AtomicU64::new(0);
         ex.launch("k2", 8, LaunchCost::default(), |_| {
@@ -659,9 +682,23 @@ mod tests {
     #[test]
     fn profiling_accumulates_cost_and_syncs() {
         let ex = Executor::default();
-        ex.launch("a", 4, LaunchCost::cells(256).loads(19).stores(19).build(), |_| {});
+        ex.launch(
+            "a",
+            4,
+            LaunchCost::cells(256).loads(19).stores(19).build(),
+            |_| {},
+        );
         ex.sync();
-        ex.launch("b", 4, LaunchCost::cells(128).loads(19).stores(19).atomics(2).build(), |_| {});
+        ex.launch(
+            "b",
+            4,
+            LaunchCost::cells(128)
+                .loads(19)
+                .stores(19)
+                .atomics(2)
+                .build(),
+            |_| {},
+        );
         let t = ex.profiler().total();
         assert_eq!(t.launches, 2);
         assert_eq!(t.cells, 384);

@@ -78,7 +78,12 @@ impl MemoryPlan {
 impl fmt::Display for MemoryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for a in &self.allocations {
-            writeln!(f, "{:>12.3} MiB  {}", a.bytes as f64 / (1u64 << 20) as f64, a.label)?;
+            writeln!(
+                f,
+                "{:>12.3} MiB  {}",
+                a.bytes as f64 / (1u64 << 20) as f64,
+                a.label
+            )?;
         }
         writeln!(
             f,

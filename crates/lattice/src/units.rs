@@ -143,8 +143,7 @@ mod tests {
 
     #[test]
     fn multilevel_setup_respects_eq9() {
-        let (_, omega_f, omega0) =
-            relaxation_for_reynolds_multilevel(4000.0, 128.0, 0.05, CS2, 3);
+        let (_, omega_f, omega0) = relaxation_for_reynolds_multilevel(4000.0, 128.0, 0.05, CS2, 3);
         let rebuilt = omega_at_level(omega0, 2);
         assert!((rebuilt - omega_f).abs() < 1e-12);
     }

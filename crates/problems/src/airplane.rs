@@ -231,10 +231,7 @@ mod tests {
         let mut cfg = AirplaneConfig::scaled_small();
         cfg.re = 500.0; // gentler for a 2-step smoke test
         let flow = AirplaneFlow::new(cfg);
-        let mut eng = flow.engine(
-            Variant::FusedAll,
-            Executor::new(DeviceModel::a100_40gb()),
-        );
+        let mut eng = flow.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
         eng.run(2);
         // Inside the fuselage: carved.
         assert!(eng.grid.probe_finest(Coord::new(90, 52, 52)).is_none());

@@ -82,7 +82,11 @@ impl Cavity {
     /// Finest-level domain box.
     pub fn domain(&self) -> Box3 {
         let n = self.config.n_finest;
-        let d = if self.config.quasi_2d { self.config.depth } else { n };
+        let d = if self.config.quasi_2d {
+            self.config.depth
+        } else {
+            n
+        };
         Box3::from_dims(n, n, d)
     }
 
@@ -95,8 +99,7 @@ impl Cavity {
         } else {
             [true, true, true]
         };
-        let refine =
-            lbm_core::presets::near_walls(self.domain(), c.levels, c.wall_band, axes);
+        let refine = lbm_core::presets::near_walls(self.domain(), c.levels, c.wall_band, axes);
         let mut spec = GridSpec::new(c.levels, self.domain(), refine)
             .with_block_size(c.block_size)
             .with_curve(c.curve);
@@ -232,8 +235,7 @@ mod tests {
         assert!(eng.grid.levels[1].real_cells > 0);
         // The finest level tiles the wall bands of x/y only.
         let n = 32 * 32 * 4;
-        let covered: usize = eng.grid.levels[1].real_cells
-            + 8 * eng.grid.levels[0].real_cells;
+        let covered: usize = eng.grid.levels[1].real_cells + 8 * eng.grid.levels[0].real_cells;
         assert_eq!(covered, n, "levels must partition the domain");
     }
 

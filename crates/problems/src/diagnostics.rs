@@ -111,7 +111,11 @@ where
 }
 
 /// Writes `(x, value)` rows as CSV.
-pub fn write_profile_csv(path: impl AsRef<Path>, header: &str, rows: &[(f64, f64)]) -> IoResult<()> {
+pub fn write_profile_csv(
+    path: impl AsRef<Path>,
+    header: &str,
+    rows: &[(f64, f64)],
+) -> IoResult<()> {
     let mut w = BufWriter::new(File::create(path)?);
     writeln!(w, "{header}")?;
     for (x, v) in rows {
@@ -121,11 +125,7 @@ pub fn write_profile_csv(path: impl AsRef<Path>, header: &str, rows: &[(f64, f64
 }
 
 /// Writes a generic table: one header line, rows of comma-joined values.
-pub fn write_table_csv(
-    path: impl AsRef<Path>,
-    header: &str,
-    rows: &[Vec<f64>],
-) -> IoResult<()> {
+pub fn write_table_csv(path: impl AsRef<Path>, header: &str, rows: &[Vec<f64>]) -> IoResult<()> {
     let mut w = BufWriter::new(File::create(path)?);
     writeln!(w, "{header}")?;
     for row in rows {

@@ -83,10 +83,7 @@ pub fn schiller_naumann(re: f64) -> f64 {
 }
 
 /// Convenience: sphere drag on the finest level of a running engine.
-pub fn sphere_drag<T, V, C>(
-    eng: &Engine<T, V, C>,
-    sphere: crate::geometry::Sphere,
-) -> Force
+pub fn sphere_drag<T, V, C>(eng: &Engine<T, V, C>, sphere: crate::geometry::Sphere) -> Force
 where
     T: Real,
     V: VelocitySet,

@@ -151,11 +151,7 @@ impl Sdf for RoundedBox {
             (p[1] - self.center[1]).abs() - self.half[1],
             (p[2] - self.center[2]).abs() - self.half[2],
         ];
-        let outside: f64 = q
-            .iter()
-            .map(|v| v.max(0.0).powi(2))
-            .sum::<f64>()
-            .sqrt();
+        let outside: f64 = q.iter().map(|v| v.max(0.0).powi(2)).sum::<f64>().sqrt();
         let inside = q[0].max(q[1]).max(q[2]).min(0.0);
         outside + inside - self.round
     }
@@ -227,8 +223,7 @@ pub fn band_refinement(
     );
     move |level, p| {
         let c = cell_center(levels, level, p);
-        sdf.distance(c).abs() < bands[level as usize]
-            || sdf.distance(c) < 0.0 // interiors stay at the finest level
+        sdf.distance(c).abs() < bands[level as usize] || sdf.distance(c) < 0.0 // interiors stay at the finest level
     }
 }
 
@@ -237,9 +232,7 @@ pub fn solid_at_finest(
     sdf: impl Sdf + 'static,
     levels: u32,
 ) -> impl Fn(u32, Coord) -> bool + Send + Sync {
-    move |level, p| {
-        level == levels - 1 && sdf.distance(cell_center(levels, level, p)) < 0.0
-    }
+    move |level, p| level == levels - 1 && sdf.distance(cell_center(levels, level, p)) < 0.0
 }
 
 #[cfg(test)]
@@ -342,7 +335,7 @@ mod tests {
         // Near the surface: both transitions active at appropriate levels.
         // Level-0 cell centered near the sphere surface:
         assert!(refine(0, Coord::new(8, 8, 8))); // center (34,34,34), |d|≈ -4.5 → interior → refined
-        // Far away cell does not refine.
+                                                 // Far away cell does not refine.
         assert!(!refine(0, Coord::new(0, 0, 0)));
     }
 

@@ -31,8 +31,8 @@ pub mod windtunnel;
 pub use airplane::{airplane_sdf, AirplaneConfig, AirplaneEngine, AirplaneFlow};
 pub use cavity::{Cavity, CavityConfig, CavityEngine};
 pub use diagnostics::SteadyOutcome;
-pub use geometry::{band_refinement, solid_at_finest, Capsule, Ellipsoid, Sdf, Sphere, Union};
 pub use forces::{drag_coefficient, momentum_exchange, schiller_naumann, sphere_drag, Force};
+pub use geometry::{band_refinement, solid_at_finest, Capsule, Ellipsoid, Sdf, Sphere, Union};
 pub use ghia::ProfileError;
 pub use sphere::{SphereConfig, SphereEngine, SphereFlow};
 pub use tgv::{Tgv, TgvConfig, TgvEngine};

@@ -173,9 +173,7 @@ impl SphereFlow {
 
     /// Active-voxel distribution per level, finest first — the
     /// "Distribution" column of Table I.
-    pub fn distribution<V: lbm_lattice::VelocitySet>(
-        grid: &MultiGrid<f64, V>,
-    ) -> Vec<usize> {
+    pub fn distribution<V: lbm_lattice::VelocitySet>(grid: &MultiGrid<f64, V>) -> Vec<usize> {
         let mut v: Vec<usize> = grid.levels.iter().map(|l| l.real_cells).collect();
         v.reverse();
         v
@@ -208,7 +206,10 @@ mod tests {
             flow.sphere.center[1] as i32,
             flow.sphere.center[2] as i32,
         );
-        assert!(eng.grid.probe_finest(c).is_none(), "sphere interior must be carved");
+        assert!(
+            eng.grid.probe_finest(c).is_none(),
+            "sphere interior must be carved"
+        );
         // Most voxels live on the finest level (paper Table I).
         let dist = SphereFlow::distribution(&eng.grid);
         assert!(dist[0] > dist[1], "finest {} vs mid {}", dist[0], dist[1]);

@@ -68,11 +68,9 @@ impl Tgv {
         let c = &self.config;
         let n = c.n;
         let quarter = (n / 4) as i32;
-        GridSpec::new(
-            c.levels,
-            Box3::from_dims(n, n, c.depth),
-            move |l, p| l == 0 && p.y >= quarter / 2 && p.y < quarter / 2 + quarter,
-        )
+        GridSpec::new(c.levels, Box3::from_dims(n, n, c.depth), move |l, p| {
+            l == 0 && p.y >= quarter / 2 && p.y < quarter / 2 + quarter
+        })
         .with_block_size(c.block_size)
         .with_curve(SpaceFillingCurve::Morton)
         .with_periodic([true, true, true])
@@ -142,7 +140,11 @@ mod tests {
         let e1 = Tgv::kinetic_energy(&eng);
         let expect = tgv.analytic_ke_ratio(steps as u64);
         let rel = ((e1 / e0) - expect).abs() / expect;
-        assert!(rel < 0.02, "KE ratio {} vs analytic {expect} (rel {rel})", e1 / e0);
+        assert!(
+            rel < 0.02,
+            "KE ratio {} vs analytic {expect} (rel {rel})",
+            e1 / e0
+        );
     }
 
     #[test]
@@ -190,8 +192,7 @@ mod tests {
                 time_interp,
                 ..TgvConfig::default()
             });
-            let mut eng =
-                tgv.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
+            let mut eng = tgv.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
             let e0 = Tgv::kinetic_energy(&eng);
             let coarse_steps = 50;
             eng.run(coarse_steps);
@@ -223,8 +224,7 @@ mod tests {
                 time_interp,
                 ..TgvConfig::default()
             });
-            let mut eng =
-                tgv.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
+            let mut eng = tgv.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
             let m0 = eng.grid.total_mass();
             eng.run(20);
             ((eng.grid.total_mass() - m0) / m0).abs()

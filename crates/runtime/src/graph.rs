@@ -257,12 +257,7 @@ impl TaskGraph {
 mod tests {
     use super::*;
 
-    fn node(
-        name: &str,
-        reads: &[FieldId],
-        writes: &[FieldId],
-        atomics: &[FieldId],
-    ) -> KernelNode {
+    fn node(name: &str, reads: &[FieldId], writes: &[FieldId], atomics: &[FieldId]) -> KernelNode {
         KernelNode {
             name: name.into(),
             label: name.into(),
@@ -372,7 +367,10 @@ mod tests {
         let dot = g.to_dot("test");
         assert!(dot.contains("n0 -> n1"));
         assert!(dot.contains("n1 -> n2"));
-        assert!(!dot.contains("n0 -> n2"), "transitive edge must be reduced:\n{dot}");
+        assert!(
+            !dot.contains("n0 -> n2"),
+            "transitive edge must be reduced:\n{dot}"
+        );
     }
 
     #[test]

@@ -214,10 +214,7 @@ impl Box3 {
 
     /// Grows the box by `n` cells in every direction.
     pub fn dilate(&self, n: i32) -> Box3 {
-        Box3::new(
-            self.lo - Coord::new(n, n, n),
-            self.hi + Coord::new(n, n, n),
-        )
+        Box3::new(self.lo - Coord::new(n, n, n), self.hi + Coord::new(n, n, n))
     }
 }
 

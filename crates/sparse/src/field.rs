@@ -166,7 +166,11 @@ impl<T: Copy> Field<T> {
         let new = layout.slots(self.q, self.cells_per_block);
         let stride = self.block_stride();
         let mut out = self.data.clone();
-        for (src, dst) in self.data.chunks_exact(stride).zip(out.chunks_exact_mut(stride)) {
+        for (src, dst) in self
+            .data
+            .chunks_exact(stride)
+            .zip(out.chunks_exact_mut(stride))
+        {
             for comp in 0..self.q {
                 for cell in 0..self.cells_per_block {
                     dst[new.of(comp, cell)] = src[old.of(comp, cell)];
@@ -553,10 +557,7 @@ mod tests {
                         for comp in 0..q {
                             for cell in 0..g.cells_per_block() as u32 {
                                 let i = f.index(blk, comp, cell);
-                                assert!(
-                                    !seen[i],
-                                    "{layout:?} B={b} q={q}: index {i} hit twice"
-                                );
+                                assert!(!seen[i], "{layout:?} B={b} q={q}: index {i} hit twice");
                                 seen[i] = true;
                                 let v = blk * 100_000 + (comp as u32) * 1000 + cell;
                                 f.set(blk, comp, cell, v);
@@ -584,12 +585,21 @@ mod tests {
         for blk in 0..g.num_blocks() as u32 {
             for comp in 0..19 {
                 for cell in 0..64 {
-                    f.set(blk, comp, cell, (blk as f64) + 0.01 * comp as f64 + 1e-4 * cell as f64);
+                    f.set(
+                        blk,
+                        comp,
+                        cell,
+                        (blk as f64) + 0.01 * comp as f64 + 1e-4 * cell as f64,
+                    );
                 }
             }
         }
         let reference = f.clone();
-        for layout in [Layout::CellAoS, Layout::Tiled { width: 16 }, Layout::BlockSoA] {
+        for layout in [
+            Layout::CellAoS,
+            Layout::Tiled { width: 16 },
+            Layout::BlockSoA,
+        ] {
             f.convert_layout(layout);
             assert_eq!(f.layout(), layout);
             for blk in 0..g.num_blocks() as u32 {

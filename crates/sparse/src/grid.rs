@@ -181,11 +181,7 @@ impl SparseGrid {
         let lc = self.delinear(r.cell) + d;
         let b = self.block_size as i32;
         // Per-axis block offset in {-1,0,1} and wrapped local coordinate.
-        let bo = Coord::new(
-            lc.x.div_euclid(b),
-            lc.y.div_euclid(b),
-            lc.z.div_euclid(b),
-        );
+        let bo = Coord::new(lc.x.div_euclid(b), lc.y.div_euclid(b), lc.z.div_euclid(b));
         let wrapped = lc.rem_euclid(b);
         let cell = self.linear(wrapped);
         let nb = if bo == Coord::ZERO {
@@ -211,11 +207,7 @@ impl SparseGrid {
     pub fn neighbor_slot(&self, r: CellRef, d: Coord) -> Option<CellRef> {
         let lc = self.delinear(r.cell) + d;
         let b = self.block_size as i32;
-        let bo = Coord::new(
-            lc.x.div_euclid(b),
-            lc.y.div_euclid(b),
-            lc.z.div_euclid(b),
-        );
+        let bo = Coord::new(lc.x.div_euclid(b), lc.y.div_euclid(b), lc.z.div_euclid(b));
         let wrapped = lc.rem_euclid(b);
         let cell = self.linear(wrapped);
         let nb = if bo == Coord::ZERO {
@@ -246,8 +238,8 @@ impl SparseGrid {
     /// Topology metadata bytes (blocks, bitmasks, neighbor tables, lookup):
     /// the non-field part of the data structure's memory footprint.
     pub fn metadata_bytes(&self) -> usize {
-        let per_block = std::mem::size_of::<Block>()
-            + self.blocks.first().map_or(0, |b| b.active.heap_bytes());
+        let per_block =
+            std::mem::size_of::<Block>() + self.blocks.first().map_or(0, |b| b.active.heap_bytes());
         self.blocks.len() * per_block
             + self.lookup.len() * (std::mem::size_of::<Coord>() + std::mem::size_of::<BlockIdx>())
     }
@@ -347,11 +339,8 @@ impl GridBuilder {
     /// dropped.
     pub fn build(self, curve: SpaceFillingCurve) -> SparseGrid {
         let block_size = self.block_size;
-        let mut entries: Vec<(Coord, BitMask)> = self
-            .cells
-            .into_iter()
-            .filter(|(_, m)| !m.none())
-            .collect();
+        let mut entries: Vec<(Coord, BitMask)> =
+            self.cells.into_iter().filter(|(_, m)| !m.none()).collect();
 
         // Normalize block coords to non-negative for SFC keys.
         let min = entries.iter().fold(Coord::ZERO, |acc, (c, _)| {
@@ -403,7 +392,9 @@ impl GridBuilder {
             block_mask: block_size as i32 - 1,
             blocks,
             lookup,
-            bounds: self.bounds.unwrap_or(Box3::new(Coord::ZERO, Coord::new(1, 1, 1))),
+            bounds: self
+                .bounds
+                .unwrap_or(Box3::new(Coord::ZERO, Coord::new(1, 1, 1))),
             active_cells,
         }
     }

@@ -173,7 +173,10 @@ mod tests {
                         seen[i] = true;
                     }
                 }
-                assert!(seen.iter().all(|&b| b), "{layout:?} q={q} cpb={cpb} not onto");
+                assert!(
+                    seen.iter().all(|&b| b),
+                    "{layout:?} q={q} cpb={cpb} not onto"
+                );
             }
         }
     }

@@ -117,7 +117,9 @@ fn runs_of(b: u32, r: &DirRegion) -> Vec<CopyRun> {
     } else if r.n_y == 1 {
         vec![run(0, r.len_x, r.n_z, plane)]
     } else {
-        (0..r.n_z).map(|z| run(z * plane, r.len_x, r.n_y, b)).collect()
+        (0..r.n_z)
+            .map(|z| run(z * plane, r.len_x, r.n_y, b))
+            .collect()
     }
 }
 
@@ -220,7 +222,9 @@ impl StreamOffsets {
         static CACHE: OnceLock<Cache> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         let key = (block_size, dirs.as_ptr() as usize);
-        let mut map = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut map = cache
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         map.entry(key)
             .or_insert_with(|| Arc::new(Self::build(block_size, dirs)))
             .clone()
@@ -320,9 +324,7 @@ impl StreamOffsets {
                                 let mut pos = 0usize;
                                 while pos < e.len as usize {
                                     let rem = e.len as usize - pos;
-                                    let l = rem
-                                        .min(w - (d0 + pos) % w)
-                                        .min(w - (s0 + pos) % w);
+                                    let l = rem.min(w - (d0 + pos) % w).min(w - (s0 + pos) % w);
                                     out.push(MemRun {
                                         slot: e.slot,
                                         dst_off: slots.of(i, d0 + pos) as u32,
@@ -355,7 +357,9 @@ impl StreamOffsets {
         static CACHE: OnceLock<Cache> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         let key = (block_size, dirs.as_ptr() as usize, layout);
-        let mut map = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut map = cache
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         map.entry(key)
             .or_insert_with(|| Arc::new(Self::cached(block_size, dirs).lower(layout)))
             .clone()
@@ -556,9 +560,15 @@ mod tests {
         assert_eq!(lens(1), vec![(448, 1), (64, 1)]); // +z: bulk + one plane
         assert_eq!(lens(2), vec![(511, 1), (1, 64)]); // +x: bulk + 1-cell column
         assert_eq!(lens(3), vec![(504, 1), (8, 8)]); // +y: bulk + row slab
-        // The bulk run's shift matches δ = e_x + B·e_y + B²·e_z.
-        assert_eq!((t.dir(2).runs[0].dst_base, t.dir(2).runs[0].src_base), (1, 0));
-        assert_eq!((t.dir(3).runs[0].dst_base, t.dir(3).runs[0].src_base), (8, 0));
+                                                     // The bulk run's shift matches δ = e_x + B·e_y + B²·e_z.
+        assert_eq!(
+            (t.dir(2).runs[0].dst_base, t.dir(2).runs[0].src_base),
+            (1, 0)
+        );
+        assert_eq!(
+            (t.dir(3).runs[0].dst_base, t.dir(3).runs[0].src_base),
+            (8, 0)
+        );
     }
 
     /// needed_slots matches the union of region slots; a full 27-direction
@@ -674,10 +684,17 @@ mod tests {
         let t = StreamOffsets::build(8, &dirs);
         let soa = t.lower(Layout::BlockSoA);
         for i in 0..dirs.len() {
-            let cell_shapes: Vec<_> =
-                t.dir(i).runs.iter().map(|e| (e.len, e.count, e.stride)).collect();
-            let mem_shapes: Vec<_> =
-                soa.dir(i).iter().map(|m| (m.len, m.count, m.stride)).collect();
+            let cell_shapes: Vec<_> = t
+                .dir(i)
+                .runs
+                .iter()
+                .map(|e| (e.len, e.count, e.stride))
+                .collect();
+            let mem_shapes: Vec<_> = soa
+                .dir(i)
+                .iter()
+                .map(|m| (m.len, m.count, m.stride))
+                .collect();
             assert_eq!(mem_shapes, cell_shapes, "dir {i}");
         }
         let aos = t.lower(Layout::CellAoS);

@@ -155,7 +155,11 @@ mod tests {
             for y in 0..n {
                 for x in 0..n {
                     let k = curve.key(Coord::new(x, y, z), bits);
-                    assert!(seen.insert(k), "{} key collision at ({x},{y},{z})", curve.name());
+                    assert!(
+                        seen.insert(k),
+                        "{} key collision at ({x},{y},{z})",
+                        curve.name()
+                    );
                 }
             }
         }
@@ -218,7 +222,11 @@ mod tests {
         let close_fraction = |curve: SpaceFillingCurve| -> f64 {
             let mut close = 0u64;
             let mut count = 0u64;
-            let axes = [Coord::new(1, 0, 0), Coord::new(0, 1, 0), Coord::new(0, 0, 1)];
+            let axes = [
+                Coord::new(1, 0, 0),
+                Coord::new(0, 1, 0),
+                Coord::new(0, 0, 1),
+            ];
             for z in 0..n {
                 for y in 0..n {
                     for x in 0..n {

@@ -43,15 +43,26 @@ fn main() {
         ("upstream", Coord::new(4, c[1] as i32, c[2] as i32)),
         (
             "above",
-            Coord::new(c[0] as i32, (c[1] + flow.config.radius + 3.0) as i32, c[2] as i32),
+            Coord::new(
+                c[0] as i32,
+                (c[1] + flow.config.radius + 3.0) as i32,
+                c[2] as i32,
+            ),
         ),
         (
             "wake",
-            Coord::new((c[0] + 2.5 * flow.config.radius) as i32, c[1] as i32, c[2] as i32),
+            Coord::new(
+                (c[0] + 2.5 * flow.config.radius) as i32,
+                c[1] as i32,
+                c[2] as i32,
+            ),
         ),
     ];
 
-    println!("\n  step    KE          max|u|   {:>9} {:>9} {:>9}", "upstream", "above", "wake");
+    println!(
+        "\n  step    KE          max|u|   {:>9} {:>9} {:>9}",
+        "upstream", "above", "wake"
+    );
     let snapshots = 6usize.min(steps);
     let chunk = steps / snapshots.max(1);
     let t0 = std::time::Instant::now();
@@ -61,7 +72,11 @@ fn main() {
         let ms = diagnostics::max_speed(&eng.grid);
         let mut row = format!("  {:>5}  {ke:.4e}  {ms:.4} ", (s + 1) * chunk);
         for (_, p) in &probes {
-            let ux = eng.grid.probe_finest(*p).map(|(_, u)| u[0]).unwrap_or(f64::NAN);
+            let ux = eng
+                .grid
+                .probe_finest(*p)
+                .map(|(_, u)| u[0])
+                .unwrap_or(f64::NAN);
             row.push_str(&format!("  {ux:+.5}"));
         }
         println!("{row}");

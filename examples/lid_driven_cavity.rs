@@ -61,23 +61,31 @@ fn main() {
     let steps = out.steps;
     println!(
         "reached steady state in {steps} coarse steps ({}), {:.1} s, {:.1} MLUPS measured",
-        if out.converged { "converged" } else { "step cap" },
+        if out.converged {
+            "converged"
+        } else {
+            "step cap"
+        },
         wall.as_secs_f64(),
         eng.mlups_measured(steps as u64, wall)
     );
 
     let (u_err, v_err) = cavity.validate(&eng);
     println!("\n== Ghia et al. (1982) comparison (Fig. 7) ==");
-    println!("u-centerline: rms = {:.4}, max = {:.4}", u_err.rms, u_err.max);
-    println!("v-centerline: rms = {:.4}, max = {:.4}", v_err.rms, v_err.max);
+    println!(
+        "u-centerline: rms = {:.4}, max = {:.4}",
+        u_err.rms, u_err.max
+    );
+    println!(
+        "v-centerline: rms = {:.4}, max = {:.4}",
+        v_err.rms, v_err.max
+    );
 
     let (u_prof, v_prof) = cavity.profiles(&eng);
     let out = std::env::temp_dir().join("lbm_cavity");
     std::fs::create_dir_all(&out).unwrap();
-    diagnostics::write_profile_csv(out.join("u_centerline.csv"), "y,u_over_ulid", &u_prof)
-        .unwrap();
-    diagnostics::write_profile_csv(out.join("v_centerline.csv"), "x,v_over_ulid", &v_prof)
-        .unwrap();
+    diagnostics::write_profile_csv(out.join("u_centerline.csv"), "y,u_over_ulid", &u_prof).unwrap();
+    diagnostics::write_profile_csv(out.join("v_centerline.csv"), "x,v_over_ulid", &v_prof).unwrap();
     let vtk = lbm_refinement::problems::vtk::write_levels(&eng.grid, out.join("cavity")).unwrap();
     println!(
         "profiles written to {} (+{} VTK level files for ParaView)",

@@ -18,7 +18,10 @@ fn main() {
 
     println!("Taylor–Green vortex, {n}² × 4 periodic box, BGK/D3Q19");
     println!("analytic law: KE(t) = KE(0)·exp(−4νk²t)\n");
-    println!("{:>10} {:>14} {:>14} {:>10}", "fine steps", "KE/KE0 (sim)", "KE/KE0 (exact)", "rel err");
+    println!(
+        "{:>10} {:>14} {:>14} {:>10}",
+        "fine steps", "KE/KE0 (sim)", "KE/KE0 (exact)", "rel err"
+    );
 
     for levels in [1u32, 2] {
         let tgv = Tgv::new(TgvConfig {
@@ -37,7 +40,9 @@ fn main() {
             }
         );
         let chunks = 5;
-        let coarse_per_chunk = 40 / (1 << (levels - 1)).max(1) as usize * (1 << (levels - 1)) as usize / (1 << (levels - 1)) as usize;
+        let coarse_per_chunk = 40 / (1 << (levels - 1)).max(1) as usize
+            * (1 << (levels - 1)) as usize
+            / (1 << (levels - 1)) as usize;
         let mut fine_steps = 0u64;
         for _ in 0..chunks {
             eng.run(coarse_per_chunk);

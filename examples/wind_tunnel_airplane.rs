@@ -39,9 +39,7 @@ fn main() {
 
     println!("\n== refined layout ==\n{refined}");
     println!("== uniform finest layout (AA single buffer) ==\n{uniform}");
-    println!(
-        "refined fits 40 GB: {refined_fits};  uniform fits 40 GB: {uniform_fits}"
-    );
+    println!("refined fits 40 GB: {refined_fits};  uniform fits 40 GB: {uniform_fits}");
     println!(
         "largest uniform cube on this device (AA, f32): {}³ (paper: ≈794³)",
         max_uniform_cube(&device, 19, 4, 1)

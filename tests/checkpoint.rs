@@ -12,11 +12,11 @@
 mod common;
 
 use common::{assert_logical_bits_identical, grid_digest, seeded_engine_with, EngineOpts};
+use lbm_refinement::core::AllWalls;
 use lbm_refinement::core::{
     CheckpointError, Engine, ExecMode, GridSpec, HealthAction, HealthCause, HealthGuard,
     HealthPolicy, MultiGrid, Variant,
 };
-use lbm_refinement::core::AllWalls;
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Bgk, VelocitySet, D3Q19, D3Q27};
 use lbm_refinement::sparse::{Box3, Layout};
@@ -35,8 +35,14 @@ fn restart_case<V: VelocitySet>(seed: u64, opts: EngineOpts, total: usize, k: us
     drop(interrupted); // the "crashed" process is gone
 
     let mut resumed = seeded_engine_with::<V>(seed, Variant::FusedAll, opts);
-    resumed.restore(&blob).unwrap_or_else(|e| panic!("{what}: restore failed: {e}"));
-    assert_eq!(resumed.coarse_steps(), k as u64, "{what}: restored step count");
+    resumed
+        .restore(&blob)
+        .unwrap_or_else(|e| panic!("{what}: restore failed: {e}"));
+    assert_eq!(
+        resumed.coarse_steps(),
+        k as u64,
+        "{what}: restored step count"
+    );
     resumed.run(total - k);
 
     assert_eq!(
@@ -157,7 +163,10 @@ fn bad_snapshots_fail_cleanly_and_leave_the_engine_untouched() {
     let mid = bad.len() / 2;
     bad[mid] ^= 0x40;
     assert!(
-        matches!(eng.restore(&bad).unwrap_err(), CheckpointError::ChecksumMismatch),
+        matches!(
+            eng.restore(&bad).unwrap_err(),
+            CheckpointError::ChecksumMismatch
+        ),
         "bit flip must trip the checksum"
     );
     // Garbage is recognized before anything else.
@@ -165,7 +174,11 @@ fn bad_snapshots_fail_cleanly_and_leave_the_engine_untouched() {
     assert!(matches!(err, CheckpointError::BadMagic), "got {err}");
 
     // Every failure above left the engine bit-identical and stepping.
-    assert_eq!(grid_digest(&eng.grid), before, "failed restores must not mutate");
+    assert_eq!(
+        grid_digest(&eng.grid),
+        before,
+        "failed restores must not mutate"
+    );
     eng.run(1);
     assert_eq!(eng.coarse_steps(), 3);
 }
@@ -212,7 +225,10 @@ fn abort_policy_halts_on_nan() {
     let mut eng = seeded_engine_with::<D3Q19>(4, Variant::FusedAll, opts);
     eng.run(2);
     assert!(!eng.halted());
-    assert!(eng.health_events().is_empty(), "healthy run must record nothing");
+    assert!(
+        eng.health_events().is_empty(),
+        "healthy run must record nothing"
+    );
 
     poison(&mut eng);
     eng.run(5);
@@ -280,8 +296,16 @@ fn rollback_policy_restores_the_last_healthy_state() {
     poison(&mut eng);
     eng.step(); // step 3 fails its check and rolls back to step 2
     assert!(!eng.halted());
-    assert_eq!(eng.coarse_steps(), 2, "rolled back to the last healthy step");
-    assert_eq!(grid_digest(&eng.grid), healthy, "state is the step-2 snapshot");
+    assert_eq!(
+        eng.coarse_steps(),
+        2,
+        "rolled back to the last healthy step"
+    );
+    assert_eq!(
+        grid_digest(&eng.grid),
+        healthy,
+        "state is the step-2 snapshot"
+    );
     let ev = *eng.health_events().last().unwrap();
     assert_eq!(ev.step, 3);
     assert_eq!(ev.cause, HealthCause::NonFinite);

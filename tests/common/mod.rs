@@ -90,7 +90,11 @@ pub fn seeded_engine_with<V: VelocitySet>(
         |_, _| 1.0,
         move |l, p| {
             let k = (seed as i32 + l as i32 + 3 * p.x + 5 * p.y + 7 * p.z) as f64;
-            [0.02 * (k * 0.37).sin(), 0.015 * (k * 0.61).cos(), 0.01 * (k * 0.23).sin()]
+            [
+                0.02 * (k * 0.37).sin(),
+                0.015 * (k * 0.61).cos(),
+                0.01 * (k * 0.23).sin(),
+            ]
         },
     );
     eng

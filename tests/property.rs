@@ -24,13 +24,14 @@ fn random_spec() -> impl Strategy<Value = RandomSpec> {
     // Coarse domain is 12³ (finest 24³).
     let corner = (2..5i32, 2..5i32, 2..5i32);
     let size = (2..5i32, 2..5i32, 2..5i32);
-    (corner, size, 0.6f64..1.8, -0.03f64..0.03, -0.03f64..0.03)
-        .prop_map(|((x, y, z), (sx, sy, sz), omega0, ux, uy)| RandomSpec {
+    (corner, size, 0.6f64..1.8, -0.03f64..0.03, -0.03f64..0.03).prop_map(
+        |((x, y, z), (sx, sy, sz), omega0, ux, uy)| RandomSpec {
             lo: [x, y, z],
             hi: [(x + sx).min(10), (y + sy).min(10), (z + sz).min(10)],
             omega0,
             u: [ux, uy, 0.01],
-        })
+        },
+    )
 }
 
 fn build_engine(r: &RandomSpec, variant: Variant) -> Engine<f64, D3Q19, Bgk<f64>> {

@@ -104,7 +104,10 @@ fn airplane_capacity_claim() {
     let uniform_cells = (full.size[0] * full.size[1] * full.size[2]) as u64;
     let mut uniform = MemoryPlan::new();
     uniform.push_populations("uniform", uniform_cells, 27, 8, 1);
-    assert!(!uniform.fits(&device), "paper-size uniform grid must exceed 40 GB");
+    assert!(
+        !uniform.fits(&device),
+        "paper-size uniform grid must exceed 40 GB"
+    );
 
     // Paper's stated AA-method bound ≈ 794³.
     let side = max_uniform_cube(&device, 19, 4, 1);

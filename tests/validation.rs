@@ -41,7 +41,10 @@ fn cavity_two_level_matches_ghia_loosely() {
     // center, positive flow near the lid.
     let (u_prof, _) = cavity.profiles(&eng);
     let min = u_prof.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
-    let max = u_prof.iter().map(|&(_, v)| v).fold(f64::NEG_INFINITY, f64::max);
+    let max = u_prof
+        .iter()
+        .map(|&(_, v)| v)
+        .fold(f64::NEG_INFINITY, f64::max);
     assert!(min < -0.12, "return flow {min}");
     assert!(max > 0.6, "lid-adjacent flow {max}");
 }
@@ -61,7 +64,10 @@ fn cavity_baseline_and_fused_converge_to_same_state() {
         })
     };
     let cavity = mk();
-    let mut a = cavity.engine(Variant::ModifiedBaseline, Executor::new(DeviceModel::a100_40gb()));
+    let mut a = cavity.engine(
+        Variant::ModifiedBaseline,
+        Executor::new(DeviceModel::a100_40gb()),
+    );
     let mut b = cavity.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
     a.run(600);
     b.run(600);

@@ -68,7 +68,11 @@ fn bgk_three_level_sphere_variants_agree() {
 fn kbc_three_level_sphere_variants_agree() {
     let flow = SphereFlow::new(SphereConfig::for_size([36, 24, 36]));
     let mut reference = None;
-    for variant in [Variant::ModifiedBaseline, Variant::FusedCaSe, Variant::FusedAll] {
+    for variant in [
+        Variant::ModifiedBaseline,
+        Variant::FusedCaSe,
+        Variant::FusedAll,
+    ] {
         let mut eng = flow.engine(variant, Executor::new(DeviceModel::a100_40gb()));
         eng.run(5);
         let probes = probe_grid(&eng);
