@@ -3,7 +3,8 @@
 #
 # 1. release build + full test suite (the equivalence and conservation
 #    tests are the correctness contract for the streaming fast path);
-# 2. clippy with warnings denied;
+# 2. clippy with warnings denied, and `cargo fmt --check` (the workspace
+#    is rustfmt-clean; perfbench/ is its own workspace and not covered);
 # 3. `report -- bench-json` smoke (regenerates BENCH_streaming.json and
 #    checks it parses; speedup numbers are machine-dependent and NOT
 #    gated — see DESIGN.md §4);
@@ -32,6 +33,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
+cargo fmt --check
 
 if [[ "${CI_BENCH:-0}" == "1" ]]; then
     cargo run --release -q -p lbm-bench --bin report -- bench-json

@@ -23,6 +23,8 @@ pub mod collision;
 pub mod equilibrium;
 pub mod moments;
 pub mod real;
+#[cfg(test)]
+mod reference;
 pub mod scaling;
 pub mod units;
 pub mod velocity_set;
@@ -33,4 +35,4 @@ pub use moments::{density, density_velocity, momentum, pressure, second_moment};
 pub use real::Real;
 pub use scaling::{omega0_from_level, omega_at_level, substeps_at_level};
 pub use units::{relaxation_for_reynolds, relaxation_for_reynolds_multilevel, UnitConverter};
-pub use velocity_set::{VelocitySet, D2Q9, D3Q19, D3Q27, MAX_Q};
+pub use velocity_set::{for_each_dir, VelocitySet, D2Q9, D3Q19, D3Q27, MAX_Q};

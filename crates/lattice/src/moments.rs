@@ -1,33 +1,27 @@
 //! Macroscopic moments of the distribution functions (paper Eqs. 6–8).
 
 use crate::real::Real;
-use crate::velocity_set::VelocitySet;
+use crate::velocity_set::{for_each_dir, signed_add, VelocitySet};
 
 /// Density `ρ = Σ_i f_i` (Eq. 6).
 #[inline(always)]
 pub fn density<T: Real, V: VelocitySet>(f: &[T]) -> T {
+    let f = &f[..V::Q]; // one bounds check; f may be MAX_Q long
     let mut rho = T::ZERO;
-    #[allow(clippy::needless_range_loop)] // f.len() may exceed V::Q
-    for i in 0..V::Q {
-        rho += f[i];
-    }
+    for_each_dir::<V>(|i| rho += f[i]);
     rho
 }
 
 /// Momentum `ρu = Σ_i e_i f_i` (numerator of Eq. 7).
-///
-/// Uses multiplications by ±1/0 rather than branches: after unrolling the
-/// constants fold and the loop vectorizes.
 #[inline(always)]
 pub fn momentum<T: Real, V: VelocitySet>(f: &[T]) -> [T; 3] {
+    let f = &f[..V::Q];
     let mut m = [T::ZERO; 3];
-    #[allow(clippy::needless_range_loop)] // indexes parallel constant tables
-    for i in 0..V::Q {
-        let c = V::C[i];
-        m[0] += T::from_f64(c[0] as f64) * f[i];
-        m[1] += T::from_f64(c[1] as f64) * f[i];
-        m[2] += T::from_f64(c[2] as f64) * f[i];
-    }
+    for_each_dir::<V>(|i| {
+        for (m, c) in m.iter_mut().zip(V::C[i]) {
+            *m = signed_add(*m, c, f[i]);
+        }
+    });
     m
 }
 
@@ -53,40 +47,15 @@ pub fn pressure<T: Real, V: VelocitySet>(rho: T) -> T {
 /// KBC collision operator and by strain-rate diagnostics.
 #[inline(always)]
 pub fn second_moment<T: Real, V: VelocitySet>(f: &[T]) -> [T; 6] {
+    let f = &f[..V::Q];
     let mut pi = [T::ZERO; 6];
-    #[allow(clippy::needless_range_loop)] // indexes parallel constant tables
-    for i in 0..V::Q {
-        let c = V::C[i];
-        let (cx, cy, cz) = (c[0], c[1], c[2]);
-        let v = f[i];
-        if cx != 0 {
-            pi[0] += v; // xx: cx² ∈ {0,1}
+    for_each_dir::<V>(|i| {
+        let [cx, cy, cz] = V::C[i];
+        let c = [cx * cx, cy * cy, cz * cz, cx * cy, cx * cz, cy * cz];
+        for (p, c) in pi.iter_mut().zip(c) {
+            *p = signed_add(*p, c, f[i]);
         }
-        if cy != 0 {
-            pi[1] += v;
-        }
-        if cz != 0 {
-            pi[2] += v;
-        }
-        let sxy = cx * cy;
-        if sxy == 1 {
-            pi[3] += v;
-        } else if sxy == -1 {
-            pi[3] -= v;
-        }
-        let sxz = cx * cz;
-        if sxz == 1 {
-            pi[4] += v;
-        } else if sxz == -1 {
-            pi[4] -= v;
-        }
-        let syz = cy * cz;
-        if syz == 1 {
-            pi[5] += v;
-        } else if syz == -1 {
-            pi[5] -= v;
-        }
-    }
+    });
     pi
 }
 
@@ -144,8 +113,8 @@ mod tests {
 
     #[test]
     fn second_moment_matches_naive() {
-        // Compare the branchy packed implementation against the obvious
-        // triple product on an arbitrary (non-equilibrium) vector.
+        // Compare the packed implementation against the obvious triple
+        // product on an arbitrary (non-equilibrium) vector.
         let f: Vec<f64> = (0..D3Q27::Q).map(|i| 0.01 + 0.003 * i as f64).collect();
         let pi = second_moment::<f64, D3Q27>(&f);
         let pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)];

@@ -151,3 +151,48 @@ fn digests_discriminate_different_states() {
     b.run(1);
     assert_ne!(grid_digest(&a.grid), grid_digest(&b.grid));
 }
+
+/// Digest pin for the entropic KBC operator on D3Q27: the only collision
+/// the committed `report` digests never run. A small wind-tunnel sphere
+/// (three levels, velocity inlet, sphere and side-wall bounce-back) is
+/// kicked off equilibrium in every slot so that KBC's stabilizer sees
+/// `⟨Δh|Δh⟩ ≠ 0` everywhere, then steps on the sequential executor. The
+/// fused program (fused kernel on the finest level, `collide` on the
+/// coarser ones) runs block-SoA; the split baseline runs cell-AoS, so the
+/// standalone `collide` kernel is pinned under both addressings.
+#[test]
+fn kbc_d3q27_sphere_digest_is_pinned() {
+    use lbm_refinement::gpu::{DeviceModel, Executor};
+    use lbm_refinement::problems::sphere::{SphereConfig, SphereFlow};
+
+    let flow = SphereFlow::new(SphereConfig::for_size([40, 32, 32]));
+    let cases = [
+        (Variant::FusedAll, Layout::BlockSoA, 0xfaa4_ae2e_6bb2_3754),
+        (
+            Variant::ModifiedBaseline,
+            Layout::CellAoS,
+            0x3c2e_1b2c_e4ee_3cc5,
+        ),
+    ];
+    for (variant, layout, pinned) in cases {
+        let exec = Executor::sequential(DeviceModel::a100_40gb());
+        let mut eng = flow.engine_with(variant, exec, |b| b.layout(layout));
+        let mut state = 0x5eed_4bc2_7d3e_u64;
+        for level in &mut eng.grid.levels {
+            let f = level.f.src_mut();
+            for (r, _) in level.grid.iter_active() {
+                for i in 0..D3Q27::Q {
+                    let jitter = (common::xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                    let v = f.get(r.block, i, r.cell);
+                    f.set(r.block, i, r.cell, v * (1.0 + 0.02 * (jitter - 0.5)));
+                }
+            }
+        }
+        eng.run(4);
+        let digest = grid_digest(&eng.grid);
+        assert_eq!(
+            digest, pinned,
+            "KBC D3Q27 sphere {variant:?} {layout:?}: state digest {digest:#018x} moved"
+        );
+    }
+}
