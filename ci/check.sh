@@ -2,7 +2,9 @@
 # Tier-1 gate: everything CI runs, runnable locally with `ci/check.sh`.
 #
 # 1. release build + full test suite (the equivalence and conservation
-#    tests are the correctness contract for the streaming fast path);
+#    tests are the correctness contract for the streaming fast path),
+#    plus the benchmark's own unit tests (perfbench/ is a separate
+#    workspace, so the root `cargo test` does not reach them);
 # 2. clippy with warnings denied, and `cargo fmt --check` (the workspace
 #    is rustfmt-clean; perfbench/ is its own workspace and not covered);
 # 3. `report -- bench-json` smoke (regenerates BENCH_streaming.json and
@@ -32,6 +34,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 

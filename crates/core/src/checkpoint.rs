@@ -1,13 +1,13 @@
 //! Crash-safe checkpoint/restart for the multi-resolution grid, plus the
 //! runtime health-guard policies built on top of it (DESIGN.md §11).
 //!
-//! # Snapshot format (version 1)
+//! # Snapshot format (version 2)
 //!
 //! A snapshot is a single binary blob, little-endian throughout:
 //!
 //! ```text
 //! magic          8 B   "LBMCKPT\0"
-//! version        u32   1
+//! version        u32   2 (fixed offset 8..12, read before the checksum)
 //! value_bits     u32   bit width of the population scalar (32 or 64)
 //! q              u32   velocity-set size
 //! name_len/name  u32 + bytes   velocity-set tag ("D3Q19", "D3Q27")
@@ -19,40 +19,57 @@
 //!   num_blocks   u64   ┐ structural echo, validated against the target
 //!   cells/block  u32   ┘ grid on restore
 //!   parity       u8    which double-buffer half is the source
-//!   flags        num_blocks·B³ bytes (canonical order)
+//!   flags        num_blocks·B³ bytes (canonical order; validated echo)
 //!   half 0       num_blocks·q·B³ × u64 value bit patterns (canonical order)
 //!   half 1       likewise
 //!   acc_len/acc  u64 + acc_len × u64 accumulator f64 bit patterns
-//! checksum       u64   FNV-1a over every preceding byte
+//! checksum       u64   word-wise FNV-1a-64 over every preceding byte
 //! ```
 //!
+//! **Checksum.** The body (every byte before the trailer) is cut into
+//! 32-byte groups of four little-endian `u64` words; word `j` of each group
+//! feeds lane `j`, and every lane runs FNV-1a-64 over its words
+//! (`lane = (lane ^ word) · P`, starting from the FNV offset basis). The
+//! trailer is FNV-1a-64 over, in order, the four lane states, the `len % 32`
+//! trailing bytes one at a time, and the body length. Each step is a
+//! bijection of the running state (xor with the input, then multiplication
+//! by the odd prime `P`), so any change confined to one 8-byte word is
+//! always detected — as byte-serial FNV-1a (version 1) always detects a
+//! one-byte change — while the four independent lanes let the multiplies
+//! overlap instead of forming one serial chain.
+//!
 //! Field payloads are serialized in *canonical order* — `(block, comp,
-//! cell)` ascending, via [`lbm_sparse::Field::canonical_values`] — so the
+//! cell)` ascending, via [`lbm_sparse::Field::canonical_runs`] — so the
 //! bytes are independent of the intra-block [`Layout`]: a snapshot cut from
 //! a `BlockSoA` engine restores bit-exactly into a `Tiled` one and vice
 //! versa. Values travel as raw IEEE-754 bit patterns
 //! ([`lbm_lattice::Real::to_bits64`]), never through a float conversion, so
 //! restore is a bit-level identity even for non-finite values.
 //!
-//! The grid's *structure* (octree spec, links, gather tables) is **not**
-//! serialized — [`crate::GridSpec`] holds closures and every table is
-//! deterministically rebuilt by [`MultiGrid::build`]. Restore targets an
-//! already-built, structurally identical grid and validates the structural
-//! echo (level count, blocks per level, cells per block, velocity set,
-//! scalar width) before touching any state; a mismatched or corrupted
-//! snapshot returns a [`CheckpointError`] and leaves the target untouched.
+//! The grid's *structure* (octree spec, links, gather tables, cell flags)
+//! is **not** restored — [`crate::GridSpec`] holds closures and everything
+//! structural is deterministically rebuilt by [`MultiGrid::build`]. Restore
+//! targets an already-built, structurally identical grid. It works in two
+//! passes: the first checks the version, the checksum and every header and
+//! length, compares the structural echo (level count, blocks per level,
+//! cells per block, velocity set, scalar width, every cell flag) with the
+//! target, and keeps only slices of the payloads; the second decodes those
+//! slices straight into the target's fields. Decoding cannot fail once the
+//! first pass has succeeded, so a mismatched or corrupted snapshot returns a
+//! [`CheckpointError`] and leaves the target untouched without staging a
+//! copy of the state.
 
 use std::fmt;
 
 use lbm_lattice::{Real, VelocitySet};
-use lbm_sparse::Layout;
+use lbm_sparse::{Field, Layout};
 
 use crate::multigrid::MultiGrid;
 
 /// Magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"LBMCKPT\0";
 /// Current snapshot format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Why a snapshot could not be loaded. Loading never panics: every failure
 /// mode — truncation, corruption, wrong solver configuration — surfaces as
@@ -66,11 +83,11 @@ pub enum CheckpointError {
     /// The blob is a snapshot, but of a format version this build does not
     /// read.
     UnsupportedVersion(u32),
-    /// The FNV-1a trailer does not match the body: bit rot or truncation.
+    /// The checksum trailer does not match the body: bit rot or truncation.
     ChecksumMismatch,
     /// The snapshot is intact but describes a different solver
-    /// configuration (velocity set, scalar width, grid structure) than the
-    /// restore target.
+    /// configuration (velocity set, scalar width, grid structure, cell
+    /// flags) than the restore target.
     Mismatch(String),
 }
 
@@ -93,15 +110,34 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// FNV-1a over a byte slice — the same hash family as the state digests in
-/// the determinism tests, applied here to the serialized blob.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// One FNV-1a step: a bijection of `h` for every input `x`.
+#[inline(always)]
+fn fnv_step(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+#[inline(always)]
+fn le_u64(word: &[u8]) -> u64 {
+    u64::from_le_bytes(word.try_into().expect("an 8-byte word"))
+}
+
+/// The version-2 trailer: word-wise FNV-1a-64 in four interleaved lanes
+/// (defined in the module docs).
+fn checksum(body: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET; 4];
+    let groups = body.chunks_exact(32);
+    let tail = groups.remainder();
+    for group in groups {
+        for (lane, word) in lanes.iter_mut().zip(group.chunks_exact(8)) {
+            *lane = fnv_step(*lane, le_u64(word));
+        }
     }
-    h
+    let h = lanes.into_iter().fold(FNV_OFFSET, fnv_step);
+    let h = tail.iter().fold(h, |h, &b| fnv_step(h, b as u64));
+    fnv_step(h, body.len() as u64)
 }
 
 fn layout_tag(layout: Layout) -> (u8, u32) {
@@ -112,22 +148,40 @@ fn layout_tag(layout: Layout) -> (u8, u32) {
     }
 }
 
-struct Writer {
-    buf: Vec<u8>,
+/// Sequential writer into a pre-sized buffer: every field takes exactly the
+/// bytes the format gives it.
+struct Writer<'a> {
+    out: &'a mut [u8],
 }
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+impl<'a> Writer<'a> {
+    fn take(&mut self, n: usize) -> &'a mut [u8] {
+        let (head, tail) = std::mem::take(&mut self.out).split_at_mut(n);
+        self.out = tail;
+        head
     }
     fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+        self.take(v.len()).copy_from_slice(v);
+    }
+    fn u8(&mut self, v: u8) {
+        self.bytes(&[v]);
+    }
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    /// Every value of `field` in canonical order, `N` bytes each.
+    fn field<T: Copy, const N: usize>(&mut self, field: &Field<T>, encode: impl Fn(T) -> [u8; N]) {
+        let mut dst = self.take(N * field.as_slice().len());
+        field.canonical_runs(|run| {
+            let (head, tail) = std::mem::take(&mut dst).split_at_mut(N * run.len());
+            for (d, &v) in head.chunks_exact_mut(N).zip(run) {
+                d.copy_from_slice(&encode(v));
+            }
+            dst = tail;
+        });
     }
 }
 
@@ -152,7 +206,7 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
     fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(le_u64(self.take(8)?))
     }
     fn exhausted(&self) -> bool {
         self.pos == self.buf.len()
@@ -161,9 +215,24 @@ impl<'a> Reader<'a> {
 
 /// Serializes the full simulation state of `grid` — every level's flags,
 /// both population halves, accumulators and buffer parity — plus the
-/// engine's `coarse_steps`, into a self-contained checksummed blob.
+/// engine's `coarse_steps`, into a self-contained checksummed blob. The
+/// blob's size is computed up front and every payload is written straight
+/// from the fields into that one allocation.
 pub fn save<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
+    let header = MAGIC.len() + 4 + 4 + 4 + 4 + V::NAME.len() + 1 + 4 + 8 + 4;
+    let levels: usize = grid
+        .levels
+        .iter()
+        .map(|lv| {
+            let values = lv.f.half(0).as_slice().len();
+            8 + 4 + 1 + lv.flags.as_slice().len() + 2 * 8 * values + 8 + 8 * lv.acc.len()
+        })
+        .sum();
+    let mut buf = vec![0u8; header + levels + 8];
+    let body_len = buf.len() - 8;
+    let mut w = Writer {
+        out: &mut buf[..body_len],
+    };
     w.bytes(&MAGIC);
     w.u32(VERSION);
     w.u32(T::BITS);
@@ -179,66 +248,92 @@ pub fn save<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) 
         w.u64(lv.grid.num_blocks() as u64);
         w.u32(lv.grid.cells_per_block() as u32);
         w.u8(lv.f.parity() as u8);
-        w.bytes(&lv.flags.canonical_values());
+        w.field(&lv.flags, |flag| [flag]);
         for h in 0..2 {
-            for v in lv.f.half(h).canonical_values() {
-                w.u64(v.to_bits64());
-            }
+            w.field(lv.f.half(h), |v| v.to_bits64().to_le_bytes());
         }
         w.u64(lv.acc.len() as u64);
-        for i in 0..lv.acc.len() {
-            w.u64(lv.acc.load_flat(i).to_bits());
+        for (i, d) in w.take(8 * lv.acc.len()).chunks_exact_mut(8).enumerate() {
+            d.copy_from_slice(&lv.acc.load_flat(i).to_bits().to_le_bytes());
         }
     }
-    let ck = fnv1a(&w.buf);
-    w.u64(ck);
-    w.buf
+    assert!(w.out.is_empty(), "snapshot size computed wrong");
+    let ck = checksum(&buf[..body_len]);
+    buf[body_len..].copy_from_slice(&ck.to_le_bytes());
+    buf
 }
 
-/// One level's decoded payload, staged before any mutation of the target.
-struct LevelImage<T> {
-    parity: u8,
-    flags: Vec<u8>,
-    halves: [Vec<T>; 2],
-    acc: Vec<f64>,
+/// One level's validated record: slices of the snapshot's payloads, decoded
+/// into the target only once every level has passed validation.
+struct LevelRecord<'a> {
+    parity: usize,
+    halves: [&'a [u8]; 2],
+    acc: &'a [u8],
 }
 
 /// Restores a snapshot produced by [`save`] into `grid`, returning the
 /// recorded `coarse_steps`. The target must be structurally identical to
-/// the snapshot's source (same spec / build inputs); its current memory
-/// [`Layout`] may differ — payloads are canonical-order and re-pack into
-/// whatever layout the target uses.
+/// the snapshot's source (same spec / build inputs, hence the same cell
+/// flags); its current memory [`Layout`] may differ — payloads are
+/// canonical-order and re-pack into whatever layout the target uses.
 ///
-/// All validation and decoding happens before the first write: on any
-/// `Err`, `grid` is untouched.
+/// All validation happens before the first write: on any `Err`, `grid` is
+/// untouched.
 pub fn restore<T: Real, V: VelocitySet>(
     grid: &mut MultiGrid<T, V>,
     bytes: &[u8],
 ) -> Result<u64, CheckpointError> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
-            Err(CheckpointError::BadMagic)
-        } else {
-            Err(CheckpointError::Truncated)
-        };
+    let (coarse_steps, records) = validate(grid, bytes)?;
+    // Validated: nothing below can fail.
+    for (lv, rec) in grid.levels.iter_mut().zip(records) {
+        for (h, mut src) in rec.halves.into_iter().enumerate() {
+            lv.f.half_mut(h).canonical_runs_mut(|run| {
+                let (head, tail) = src.split_at(8 * run.len());
+                for (v, s) in run.iter_mut().zip(head.chunks_exact(8)) {
+                    *v = T::from_bits64(le_u64(s));
+                }
+                src = tail;
+            });
+        }
+        lv.f.set_parity(rec.parity);
+        for (i, s) in rec.acc.chunks_exact(8).enumerate() {
+            lv.acc.store_flat(i, f64::from_bits(le_u64(s)));
+        }
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if body[..MAGIC.len()] != MAGIC {
+    Ok(coarse_steps)
+}
+
+/// The first pass of [`restore`]: checks the version, the checksum, every
+/// header field and length and the structural echo against `grid`, and
+/// returns the step count and one payload record per level.
+fn validate<'a, T: Real, V: VelocitySet>(
+    grid: &MultiGrid<T, V>,
+    bytes: &'a [u8],
+) -> Result<(u64, Vec<LevelRecord<'a>>), CheckpointError> {
+    if bytes.len() < MAGIC.len() {
+        return Err(CheckpointError::Truncated);
+    }
+    if bytes[..MAGIC.len()] != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(CheckpointError::ChecksumMismatch);
-    }
-
+    // The version sits at a fixed offset ahead of the checksum, so a
+    // snapshot of another format version is named, not reported corrupted.
     let mut r = Reader {
-        buf: body,
+        buf: bytes,
         pos: MAGIC.len(),
     };
     let version = r.u32()?;
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
+    if bytes.len() < r.pos + 8 {
+        return Err(CheckpointError::Truncated);
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    if checksum(body) != le_u64(tail) {
+        return Err(CheckpointError::ChecksumMismatch);
+    }
+    r.buf = body;
     let bits = r.u32()?;
     if bits != T::BITS {
         return Err(CheckpointError::Mismatch(format!(
@@ -268,11 +363,11 @@ pub fn restore<T: Real, V: VelocitySet>(
         )));
     }
 
-    let mut images: Vec<LevelImage<T>> = Vec::with_capacity(num_levels);
+    let mut records = Vec::with_capacity(num_levels);
     for (l, lv) in grid.levels.iter().enumerate() {
-        let num_blocks = r.u64()? as usize;
+        let num_blocks = r.u64()?;
         let cpb = r.u32()? as usize;
-        if num_blocks != lv.grid.num_blocks() || cpb != lv.grid.cells_per_block() {
+        if num_blocks != lv.grid.num_blocks() as u64 || cpb != lv.grid.cells_per_block() {
             return Err(CheckpointError::Mismatch(format!(
                 "level {l}: snapshot geometry {num_blocks} blocks × {cpb} cells/block, \
                  grid has {} × {}",
@@ -286,28 +381,26 @@ pub fn restore<T: Real, V: VelocitySet>(
                 "level {l}: parity byte {parity} is not 0 or 1"
             )));
         }
-        let flags = r.take(num_blocks * cpb)?.to_vec();
-        let n = num_blocks * V::Q * cpb;
-        let mut halves: [Vec<T>; 2] = [Vec::with_capacity(n), Vec::with_capacity(n)];
-        for half in &mut halves {
-            for _ in 0..n {
-                half.push(T::from_bits64(r.u64()?));
-            }
+        let flags = r.take(lv.flags.as_slice().len())?;
+        if let Some(k) = first_difference(&lv.flags, flags) {
+            return Err(CheckpointError::Mismatch(format!(
+                "level {l}: cell flags differ from the grid's at block {}, cell {}",
+                k / cpb,
+                k % cpb
+            )));
         }
-        let acc_len = r.u64()? as usize;
-        if acc_len != lv.acc.len() {
+        let n = 8 * lv.f.half(0).as_slice().len();
+        let halves = [r.take(n)?, r.take(n)?];
+        let acc_len = r.u64()?;
+        if acc_len != lv.acc.len() as u64 {
             return Err(CheckpointError::Mismatch(format!(
                 "level {l}: snapshot has {acc_len} accumulator slots, grid has {}",
                 lv.acc.len()
             )));
         }
-        let mut acc = Vec::with_capacity(acc_len);
-        for _ in 0..acc_len {
-            acc.push(f64::from_bits(r.u64()?));
-        }
-        images.push(LevelImage {
-            parity,
-            flags,
+        let acc = r.take(8 * lv.acc.len())?;
+        records.push(LevelRecord {
+            parity: parity as usize,
             halves,
             acc,
         });
@@ -318,19 +411,21 @@ pub fn restore<T: Real, V: VelocitySet>(
             body.len() - r.pos
         )));
     }
+    Ok((coarse_steps, records))
+}
 
-    // Everything decoded and validated — apply.
-    for (lv, img) in grid.levels.iter_mut().zip(images) {
-        lv.flags.load_canonical(&img.flags);
-        let [h0, h1] = img.halves;
-        lv.f.half_mut(0).load_canonical(&h0);
-        lv.f.half_mut(1).load_canonical(&h1);
-        lv.f.set_parity(img.parity as usize);
-        for (i, v) in img.acc.into_iter().enumerate() {
-            lv.acc.store_flat(i, v);
+/// Canonical index of the first byte where `snapshot` differs from
+/// `flags`, if any (`snapshot` holds exactly the field's element count).
+fn first_difference(flags: &Field<u8>, snapshot: &[u8]) -> Option<usize> {
+    let (mut at, mut found) = (0, None);
+    flags.canonical_runs(|run| {
+        if found.is_none() {
+            let mismatch = run.iter().zip(&snapshot[at..]).position(|(a, b)| a != b);
+            found = mismatch.map(|i| at + i);
         }
-    }
-    Ok(coarse_steps)
+        at += run.len();
+    });
+    found
 }
 
 /// What a failed health check triggers (see [`HealthGuard::policy`]).
@@ -484,6 +579,12 @@ mod tests {
     #[test]
     fn save_restore_round_trips_bit_exactly() {
         let src = two_level_grid();
+        // Distinct accumulator values, so a misplaced slot shows.
+        for (l, lv) in src.levels.iter().enumerate() {
+            for i in 0..lv.acc.len() {
+                lv.acc.store_flat(i, (l * 1_000_000 + i) as f64 + 0.25);
+            }
+        }
         let blob = save(&src, 7);
         let mut dst = two_level_grid();
         // Perturb the target so the restore provably overwrites it.
@@ -491,16 +592,40 @@ mod tests {
         dst.levels[0].f.swap();
         let steps = restore(&mut dst, &blob).expect("restore");
         assert_eq!(steps, 7);
-        for (a, b) in src.levels.iter().zip(&dst.levels) {
-            assert_eq!(a.f.parity(), b.f.parity());
+        assert_logically_equal(&src, &dst);
+    }
+
+    /// Every level's parity, both halves (value by value through the
+    /// layout-independent accessor), accumulators and flags agree bit for
+    /// bit.
+    fn assert_logically_equal(a: &MG, b: &MG) {
+        for (la, lb) in a.levels.iter().zip(&b.levels) {
+            assert_eq!(la.f.parity(), lb.f.parity());
             for h in 0..2 {
-                let (fa, fb) = (a.f.half(h), b.f.half(h));
-                for (x, y) in fa.canonical_values().iter().zip(fb.canonical_values()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
+                let (fa, fb) = (la.f.half(h), lb.f.half(h));
+                for blk in 0..la.grid.num_blocks() as u32 {
+                    for comp in 0..D3Q19::Q {
+                        for cell in 0..la.grid.cells_per_block() as u32 {
+                            assert_eq!(
+                                fa.get(blk, comp, cell).to_bits(),
+                                fb.get(blk, comp, cell).to_bits()
+                            );
+                        }
+                    }
                 }
             }
-            assert_eq!(a.flags.as_slice(), b.flags.as_slice());
+            for i in 0..la.acc.len() {
+                assert_eq!(la.acc.load_flat(i).to_bits(), lb.acc.load_flat(i).to_bits());
+            }
+            assert_eq!(la.flags.as_slice(), lb.flags.as_slice());
         }
+    }
+
+    /// Overwrites the trailer with the checksum of the (edited) body.
+    fn reseal(blob: &mut [u8]) {
+        let body_len = blob.len() - 8;
+        let ck = checksum(&blob[..body_len]);
+        blob[body_len..].copy_from_slice(&ck.to_le_bytes());
     }
 
     #[test]
@@ -533,14 +658,74 @@ mod tests {
         );
         // An unknown future version is refused by name.
         let mut vnext = blob.clone();
-        vnext[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        let body_len = vnext.len() - 8;
-        let ck = fnv1a(&vnext[..body_len]);
-        vnext[body_len..].copy_from_slice(&ck.to_le_bytes());
+        vnext[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(VERSION + 1).to_le_bytes());
+        reseal(&mut vnext);
         assert_eq!(
             restore(&mut dst, &vnext).unwrap_err(),
-            CheckpointError::UnsupportedVersion(2)
+            CheckpointError::UnsupportedVersion(VERSION + 1)
         );
+    }
+
+    /// A version-1 snapshot — byte-serial FNV-1a trailer, which the v2
+    /// checksum rejects — is named by its version, not reported corrupted.
+    #[test]
+    fn restore_names_version_1_snapshots() {
+        let src = two_level_grid();
+        let mut v1 = save(&src, 3);
+        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        let body_len = v1.len() - 8;
+        let byte_fnv = v1[..body_len]
+            .iter()
+            .fold(FNV_OFFSET, |h, &b| fnv_step(h, b as u64));
+        v1[body_len..].copy_from_slice(&byte_fnv.to_le_bytes());
+        let mut dst = two_level_grid();
+        assert_eq!(
+            restore(&mut dst, &v1).unwrap_err(),
+            CheckpointError::UnsupportedVersion(1)
+        );
+    }
+
+    /// Cell flags are structure, rebuilt by `MultiGrid::build`: a snapshot
+    /// whose flags differ from the target's is refused, not loaded.
+    #[test]
+    fn restore_rejects_foreign_flags() {
+        let src = two_level_grid();
+        let mut blob = save(&src, 4);
+        // Level 0's flags follow the header and the level's 13-byte
+        // echo + parity.
+        let flags_at = MAGIC.len() + 16 + D3Q19::NAME.len() + 1 + 4 + 8 + 4 + 13;
+        let k = 3 * src.levels[0].grid.cells_per_block() + 5;
+        assert_eq!(blob[flags_at + k], src.levels[0].flags.get(3, 0, 5));
+        blob[flags_at + k] ^= 0x01;
+        reseal(&mut blob);
+        let mut dst = two_level_grid();
+        dst.levels[1].f.swap();
+        let before = save(&dst, 0);
+        match restore(&mut dst, &blob).unwrap_err() {
+            CheckpointError::Mismatch(why) => {
+                assert!(why.contains("level 0: cell flags"), "{why}");
+                assert!(why.contains("block 3, cell 5"), "{why}");
+            }
+            e => panic!("expected Mismatch, got {e:?}"),
+        }
+        assert_eq!(save(&dst, 0), before, "a refused snapshot must not mutate");
+    }
+
+    /// The checksum detects every single-bit flip of a word, whichever lane
+    /// carries it, and of the trailing bytes; it depends on the length.
+    #[test]
+    fn checksum_detects_single_word_changes() {
+        let body: Vec<u8> = (0..77u32).map(|i| (i * 37 + 11) as u8).collect();
+        let base = checksum(&body);
+        for pos in 0..body.len() {
+            for bit in 0..8 {
+                let mut b = body.clone();
+                b[pos] ^= 1 << bit;
+                assert_ne!(checksum(&b), base, "flip at byte {pos}, bit {bit}");
+            }
+        }
+        assert_ne!(checksum(&body[..76]), base);
+        assert_ne!(checksum(&[0u8; 32]), checksum(&[0u8; 64]));
     }
 
     #[test]
@@ -590,18 +775,7 @@ mod tests {
         aos.set_layout(Layout::CellAoS);
         aos.init_equilibrium(|_, _| 2.0, |_, _| [0.0; 3]);
         restore(&mut aos, &blob).expect("cross-layout restore");
-        for (a, b) in soa.levels.iter().zip(&aos.levels) {
-            for h in 0..2 {
-                for (x, y) in
-                    a.f.half(h)
-                        .canonical_values()
-                        .iter()
-                        .zip(b.f.half(h).canonical_values())
-                {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
+        assert_logically_equal(&soa, &aos);
     }
 
     #[test]

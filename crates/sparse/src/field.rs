@@ -186,51 +186,27 @@ impl<T: Copy> Field<T> {
         self.data.len() * std::mem::size_of::<T>()
     }
 
-    /// Copies every value out in *canonical order*: `(block, comp, cell)`
-    /// ascending, independent of the intra-block [`Layout`]. This is the
-    /// serialization order of the checkpoint format — two fields holding the
-    /// same logical values produce the same canonical vector even when their
-    /// physical layouts differ.
-    pub fn canonical_values(&self) -> Vec<T> {
+    /// Visits every value in *canonical order* — `(block, comp, cell)`
+    /// ascending, independent of the intra-block [`Layout`] — as storage
+    /// runs (see [`Slots::canonical_runs`]). This is the serialization order
+    /// of the checkpoint format: two fields holding the same logical values
+    /// yield the same concatenated sequence even when their layouts differ.
+    pub fn canonical_runs(&self, mut visit: impl FnMut(&[T])) {
         let slots = self.slots();
-        let stride = self.block_stride();
-        let mut out = Vec::with_capacity(self.data.len());
-        for block in self.data.chunks_exact(stride) {
-            for comp in 0..self.q {
-                for cell in 0..self.cells_per_block {
-                    out.push(block[slots.of(comp, cell)]);
-                }
-            }
+        for block in self.data.chunks_exact(self.block_stride()) {
+            slots.canonical_runs(|off, len| visit(&block[off..off + len]));
         }
-        out
     }
 
-    /// Writes a canonical-order value vector (see
-    /// [`Field::canonical_values`]) back into the field's *current* layout.
-    /// The inverse of extraction for any layout, which is what makes a
-    /// snapshot saved under one layout restorable under another.
-    ///
-    /// # Panics
-    /// If `values.len()` differs from the field's element count.
-    pub fn load_canonical(&mut self, values: &[T]) {
-        assert_eq!(
-            values.len(),
-            self.data.len(),
-            "canonical image has {} values, field holds {}",
-            values.len(),
-            self.data.len()
-        );
+    /// The mutable twin of [`Field::canonical_runs`]: the same runs in the
+    /// same order, so a canonical sequence written run by run lands in the
+    /// field's *current* layout — which is what makes a snapshot saved under
+    /// one layout restorable under another.
+    pub fn canonical_runs_mut(&mut self, mut visit: impl FnMut(&mut [T])) {
         let slots = self.slots();
         let stride = self.block_stride();
-        let q = self.q;
-        let cpb = self.cells_per_block;
-        let mut src = values.iter();
         for block in self.data.chunks_exact_mut(stride) {
-            for comp in 0..q {
-                for cell in 0..cpb {
-                    block[slots.of(comp, cell)] = *src.next().unwrap();
-                }
-            }
+            slots.canonical_runs(|off, len| visit(&mut block[off..off + len]));
         }
     }
 }
@@ -627,21 +603,32 @@ mod tests {
                 }
             }
         }
-        let canon = reference.canonical_values();
-        assert_eq!(canon.len(), reference.as_slice().len());
         // Canonical order is (block, comp, cell) ascending.
-        assert_eq!(canon[0], reference.get(0, 0, 0));
-        assert_eq!(canon[1], reference.get(0, 0, 1));
-        assert_eq!(canon[64], reference.get(0, 1, 0));
-        // Every layout extracts the same canonical image …
+        let mut canon = Vec::new();
+        for blk in 0..g.num_blocks() as u32 {
+            for comp in 0..19 {
+                for cell in 0..64 {
+                    canon.push(reference.get(blk, comp, cell));
+                }
+            }
+        }
+        // Every layout walks the same canonical sequence …
         for layout in LAYOUTS {
             let mut f = reference.clone();
             f.convert_layout(layout);
-            assert_eq!(f.canonical_values(), canon, "{layout:?}");
-            // … and loading it into a fresh field of that layout restores
-            // every logical value.
+            let mut walked = Vec::new();
+            f.canonical_runs(|run| walked.extend_from_slice(run));
+            assert_eq!(walked, canon, "{layout:?}");
+            // … and writing it run by run into a fresh field of that layout
+            // restores every logical value.
             let mut fresh = Field::<u32>::with_layout(&g, 19, 0, layout);
-            fresh.load_canonical(&canon);
+            let mut src = canon.as_slice();
+            fresh.canonical_runs_mut(|run| {
+                let (head, tail) = src.split_at(run.len());
+                run.copy_from_slice(head);
+                src = tail;
+            });
+            assert!(src.is_empty(), "{layout:?}");
             for blk in 0..g.num_blocks() as u32 {
                 for comp in 0..19 {
                     for cell in 0..64 {
@@ -654,15 +641,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "canonical image")]
-    fn load_canonical_rejects_wrong_length() {
-        let g = grid();
-        let mut f = Field::<u32>::new(&g, 2, 0);
-        let short = vec![0u32; 3];
-        f.load_canonical(&short);
     }
 
     #[test]

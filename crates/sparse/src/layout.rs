@@ -147,6 +147,22 @@ impl Slots {
     pub fn layout(&self) -> Layout {
         self.layout
     }
+
+    /// The canonical walk of one block: `(comp, cell)` ascending, cut into
+    /// the longest runs that stay contiguous in storage. Calls
+    /// `visit(offset, len)` once per run, with `len` the layout's
+    /// [`Layout::contiguous_run`] — whole components for SoA, tiles for
+    /// tiled, single values for AoS. Concatenating the runs yields the same
+    /// logical sequence under every layout.
+    #[inline(always)]
+    pub fn canonical_runs(&self, mut visit: impl FnMut(usize, usize)) {
+        let run = self.layout.contiguous_run(self.cpb);
+        for comp in 0..self.q {
+            for start in (0..self.cpb).step_by(run) {
+                visit(self.of(comp, start), run);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

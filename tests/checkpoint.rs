@@ -12,6 +12,9 @@
 mod common;
 
 use common::{assert_logical_bits_identical, grid_digest, seeded_engine_with, EngineOpts};
+use std::ops::Range;
+
+use lbm_refinement::core::checkpoint::{MAGIC, VERSION};
 use lbm_refinement::core::AllWalls;
 use lbm_refinement::core::{
     CheckpointError, Engine, ExecMode, GridSpec, HealthAction, HealthCause, HealthGuard,
@@ -207,6 +210,198 @@ fn snapshot_rejects_structural_mismatch() {
         matches!(err, CheckpointError::Mismatch(_)),
         "2-level snapshot into uniform engine: got {err}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot format
+
+/// Byte ranges of one level's record in a snapshot.
+struct LevelRegions {
+    echo: Range<usize>,
+    flags: Range<usize>,
+    halves: [Range<usize>; 2],
+    /// `acc_len` and the accumulator words.
+    acc: Range<usize>,
+}
+
+/// Byte ranges of a snapshot of `eng`, laid out as the format table in the
+/// `lbm_core::checkpoint` module docs says.
+struct Regions {
+    header: Range<usize>,
+    levels: Vec<LevelRegions>,
+    body_len: usize,
+}
+
+fn regions<V: VelocitySet>(eng: &Engine<f64, V, Bgk<f64>>) -> Regions {
+    let header = 0..MAGIC.len() + 4 * 4 + V::NAME.len() + 1 + 4 + 8 + 4;
+    let mut at = header.end;
+    let mut span = |n: usize| {
+        at += n;
+        at - n..at
+    };
+    let levels = eng
+        .grid
+        .levels
+        .iter()
+        .map(|lv| {
+            let cells = lv.grid.num_blocks() * lv.grid.cells_per_block();
+            let echo = span(8 + 4 + 1);
+            let flags = span(cells);
+            let halves = [span(8 * V::Q * cells), span(8 * V::Q * cells)];
+            let acc = span(8 + 8 * lv.acc.len());
+            LevelRegions {
+                echo,
+                flags,
+                halves,
+                acc,
+            }
+        })
+        .collect();
+    Regions {
+        header,
+        levels,
+        body_len: span(0).end,
+    }
+}
+
+/// The snapshot body (everything but the checksum trailer) of `eng`,
+/// encoded independently from the public accessors — `Field::get` and
+/// `AtomicF64Field::load_flat` — in canonical `(block, comp, cell)` order.
+fn reference_body<V: VelocitySet>(eng: &Engine<f64, V, Bgk<f64>>) -> Vec<u8> {
+    let mut b = Vec::new();
+    b.extend_from_slice(&MAGIC);
+    b.extend_from_slice(&VERSION.to_le_bytes());
+    b.extend_from_slice(&64u32.to_le_bytes());
+    b.extend_from_slice(&(V::Q as u32).to_le_bytes());
+    b.extend_from_slice(&(V::NAME.len() as u32).to_le_bytes());
+    b.extend_from_slice(V::NAME.as_bytes());
+    let (tag, width) = match eng.grid.layout() {
+        Layout::BlockSoA => (0u8, 0u32),
+        Layout::CellAoS => (1, 0),
+        Layout::Tiled { width } => (2, width),
+    };
+    b.push(tag);
+    b.extend_from_slice(&width.to_le_bytes());
+    b.extend_from_slice(&eng.coarse_steps().to_le_bytes());
+    b.extend_from_slice(&(eng.grid.levels.len() as u32).to_le_bytes());
+    for lv in &eng.grid.levels {
+        let (blocks, cpb) = (
+            lv.grid.num_blocks() as u32,
+            lv.grid.cells_per_block() as u32,
+        );
+        b.extend_from_slice(&(blocks as u64).to_le_bytes());
+        b.extend_from_slice(&cpb.to_le_bytes());
+        b.push(lv.f.parity() as u8);
+        for blk in 0..blocks {
+            for cell in 0..cpb {
+                b.push(lv.flags.get(blk, 0, cell));
+            }
+        }
+        for h in 0..2 {
+            let f = lv.f.half(h);
+            for blk in 0..blocks {
+                for comp in 0..V::Q {
+                    for cell in 0..cpb {
+                        b.extend_from_slice(&f.get(blk, comp, cell).to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+        b.extend_from_slice(&(lv.acc.len() as u64).to_le_bytes());
+        for i in 0..lv.acc.len() {
+            b.extend_from_slice(&lv.acc.load_flat(i).to_bits().to_le_bytes());
+        }
+    }
+    b
+}
+
+/// For every layout, the snapshot is exactly the documented format with
+/// payloads in canonical order: it equals, byte for byte up to the
+/// checksum, a reference encoded from the public accessors.
+#[test]
+fn snapshot_payload_matches_the_accessor_reference() {
+    for layout in [
+        Layout::BlockSoA,
+        Layout::CellAoS,
+        Layout::Tiled { width: 16 },
+    ] {
+        let opts = EngineOpts {
+            layout,
+            ..EngineOpts::default()
+        };
+        let mut eng = seeded_engine_with::<D3Q19>(21, Variant::FusedAll, opts);
+        eng.run(3);
+        let blob = eng.checkpoint();
+        let body = reference_body(&eng);
+        assert_eq!(blob.len(), body.len() + 8, "{layout:?}: snapshot length");
+        assert_eq!(regions(&eng).body_len, body.len(), "{layout:?}: regions");
+        assert!(
+            blob[..body.len()] == body[..],
+            "{layout:?}: payload differs"
+        );
+    }
+}
+
+/// One flipped bit anywhere — header, every level's echo, flags, halves and
+/// accumulators, the last partial 32-byte checksum group, the trailer —
+/// gives a typed error and leaves the engine exactly as it was.
+#[test]
+fn single_bit_flips_fail_typed_and_leave_the_engine_untouched() {
+    let mut eng = seeded_engine_with::<D3Q19>(9, Variant::FusedAll, EngineOpts::default());
+    eng.run(2);
+    let good = eng.checkpoint();
+    let reg = regions(&eng);
+    assert_eq!(reg.body_len + 8, good.len());
+
+    let mut positions: Vec<usize> = reg.header.clone().collect();
+    for lv in &reg.levels {
+        for r in [&lv.echo, &lv.flags, &lv.halves[0], &lv.halves[1], &lv.acc] {
+            positions.extend([r.start, r.start + r.len() / 2, r.end - 1]);
+        }
+    }
+    let partial = reg.body_len % 32;
+    assert!(
+        partial > 0,
+        "the body should end in a partial 32-byte group"
+    );
+    positions.extend(reg.body_len - partial..reg.body_len);
+    positions.extend(reg.body_len..good.len());
+
+    for (n, &pos) in positions.iter().enumerate() {
+        let mut bad = good.clone();
+        bad[pos] ^= 1 << (n % 8);
+        let err = eng.restore(&bad).unwrap_err();
+        let expected_ok = match pos {
+            p if p < MAGIC.len() => err == CheckpointError::BadMagic,
+            p if p < MAGIC.len() + 4 => matches!(err, CheckpointError::UnsupportedVersion(_)),
+            _ => err == CheckpointError::ChecksumMismatch,
+        };
+        assert!(expected_ok, "flip at byte {pos}: {err}");
+    }
+    assert!(good == eng.checkpoint(), "failed restores must not mutate");
+}
+
+/// A snapshot cut short at any header offset, and at a stride through the
+/// body, gives a typed error and leaves the engine untouched.
+#[test]
+fn truncated_snapshots_fail_typed() {
+    let mut eng = seeded_engine_with::<D3Q19>(9, Variant::FusedAll, EngineOpts::default());
+    eng.run(2);
+    let good = eng.checkpoint();
+    let reg = regions(&eng);
+    let stride = good.len() / 61;
+    let cuts = (0..reg.levels[0].flags.start).chain((reg.header.end..good.len()).step_by(stride));
+    for cut in cuts {
+        let err = eng.restore(&good[..cut]).unwrap_err();
+        // Shorter than magic + version + trailer: nothing to checksum.
+        let expected = if cut < MAGIC.len() + 4 + 8 {
+            CheckpointError::Truncated
+        } else {
+            CheckpointError::ChecksumMismatch
+        };
+        assert_eq!(err, expected, "cut at {cut}");
+    }
+    assert!(good == eng.checkpoint(), "failed restores must not mutate");
 }
 
 // ---------------------------------------------------------------------------
